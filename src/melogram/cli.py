@@ -5,6 +5,9 @@ files, ``train`` fits the base weights, ``amend`` harvests rule-filtered
 generation, ``retrain`` fits the augmented weight sets, ``generate`` samples
 melodies, ``evaluate`` reports the metrics and ``export`` writes MIDI.
 ``run-all`` performs the whole five-mode experiment into one run directory.
+Each command parses its arguments, loads its inputs and calls one function
+of ``pipeline``; ``run-all`` calls ``run_experiment``, which composes the
+same stage functions, so the staged chain and ``run-all`` write the same files.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 unexpected
 runtime failure. Seed values (only) may be overridden with environment
@@ -20,9 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import metrics, midi, network, pipeline
-from .encoding import fold_pitch
-from .grammar import Rule
+from . import grammar, metrics, midi, network, pipeline
 from .notes import Key, Melody, NoteEvent
 
 log = logging.getLogger("melogram")
@@ -74,89 +75,25 @@ def parse_seed_phrase(text: str) -> list[NoteEvent]:
     return notes
 
 
-def _resolve_seed_phrase(args, cfg: pipeline.RunConfig) -> list[NoteEvent] | None:
-    if getattr(args, "seed_phrase", None):
+def _seed_phrase(args, cfg: pipeline.RunConfig) -> list[NoteEvent]:
+    """``--seed-phrase`` when given, else the corpus's default seed phrase."""
+    if args.seed_phrase:
         return parse_seed_phrase(args.seed_phrase)
-    return None
-
-
-def _load_checked_weights(path: Path, cfg: pipeline.RunConfig) -> network.LstmParams:
-    params, meta = network.load_weights(path)
-    network.check_compatible(
-        meta,
-        pitch_count=cfg.vocab.pitch_count,
-        duration_count=cfg.vocab.duration_count,
-        hidden_size=cfg.hidden_size,
-        window=cfg.window,
-    )
-    return params
-
-
-def _update_manifest(run_dir: Path, update: dict) -> None:
-    manifest_path = run_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(manifest.get(key), dict):
-            manifest[key].update(value)
-        else:
-            manifest[key] = value
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if args.corpus is None:
+        raise ValueError("need --seed-phrase or --corpus to derive one")
+    return pipeline.default_seed_phrase(pipeline.load_corpus(Path(args.corpus)), cfg)
 
 
 # --- commands ---------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
     cfg = load_config(args.config)
-    key_override = Key.parse(args.key) if args.key else None
-    midi_dir = Path(args.midi_dir)
-    paths = sorted(p for p in midi_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))
-    if not paths:
-        log.error("no MIDI files in %s", midi_dir)
-        return EXIT_VALIDATION
-
-    corpus: list[Melody] = []
-    for path in paths:
-        try:
-            parsed = midi.parse_midi(path.read_bytes())
-        except midi.MidiParseError as exc:
-            log.warning("rejected %s: %s", path.name, exc)
-            continue
-        events = parsed.merged_events()
-        signature = midi.first_time_signature(events)
-        if signature is not None and signature != (4, 4) and not args.allow_any_meter:
-            log.warning("rejected %s: time signature %d/%d is not 4/4", path.name, *signature)
-            continue
-        try:
-            melody = midi.extract_melody(events)
-        except midi.EmptyMelodyError as exc:
-            log.warning("rejected %s: %s", path.name, exc)
-            continue
-        key = key_override or melody.source_key
-        if key is None and args.detect_key:
-            key = midi.estimate_key(melody)
-            log.info("%s: estimated key %s", path.name, key.name)
-        if key is None:
-            log.warning(
-                "rejected %s: no key signature; pass --key or --detect-key", path.name
-            )
-            continue
-        melody = midi.transpose_to_c(melody, key)
-        melody = midi.quantize_durations(melody, parsed.division, cfg.vocab)
-        folded = 0
-        notes = []
-        for note in melody.notes:
-            pitch = fold_pitch(note.pitch, cfg.vocab)
-            folded += pitch != note.pitch
-            notes.append(NoteEvent(pitch, note.duration))
-        if folded:
-            log.warning("%s: folded %d notes into the vocabulary range by octaves",
-                        path.name, folded)
-        corpus.append(Melody(notes=notes, source_key=melody.source_key))
-        log.info("accepted %s: %d notes", path.name, len(notes))
-
-    if not corpus:
-        log.error("no usable pieces in %s", midi_dir)
-        return EXIT_VALIDATION
+    corpus = pipeline.ingest(
+        Path(args.midi_dir), cfg,
+        key=Key.parse(args.key) if args.key else None,
+        detect_key=args.detect_key,
+        allow_any_meter=args.allow_any_meter,
+    )
     pipeline.save_corpus(Path(args.out), corpus)
     log.info("wrote %d pieces to %s", len(corpus), args.out)
     return EXIT_OK
@@ -164,131 +101,30 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    corpus = pipeline.load_corpus(Path(args.corpus))
-    run_dir = Path(args.run_dir)
-    (run_dir / "weights").mkdir(parents=True, exist_ok=True)
-
-    params, trace = pipeline.train_orig(corpus, cfg)
-    weights_path = run_dir / "weights" / "orig.wts"
-    network.save_weights(weights_path, params, _weights_meta(cfg))
-    _update_manifest(run_dir, {
-        "config": pipeline.config_to_dict(cfg),
-        "modes": {"orig": {
-            "weights": str(weights_path.relative_to(run_dir)),
-            "weights_sha256": pipeline.file_fingerprint(weights_path),
-            "epochs_run": len(trace),
-            "final_loss": trace[-1] if trace else None,
-        }},
-    })
-    log.info("trained orig for %d epochs, final loss %.4f", len(trace), trace[-1])
+    pipeline.train(pipeline.load_corpus(Path(args.corpus)), cfg, Path(args.run_dir))
     return EXIT_OK
 
 
 def cmd_amend(args) -> int:
     cfg = load_config(args.config)
-    corpus = pipeline.load_corpus(Path(args.corpus))
-    run_dir = Path(args.run_dir)
-    (run_dir / "amended").mkdir(parents=True, exist_ok=True)
-    params = _load_checked_weights(run_dir / "weights" / "orig.wts", cfg)
-    seed_phrase = _resolve_seed_phrase(args, cfg) or pipeline.default_seed_phrase(corpus, cfg)
-
-    wanted: list[tuple[str, frozenset[Rule]]] = [
-        (rule.value, frozenset({rule}))
-        for rule in (
-            [Rule(name) for name in args.rules.split(",")]
-            if args.rules
-            else pipeline.RULE_ORDER
-        )
-    ]
-    if cfg.mix_conjunction_filter and not args.rules:
-        wanted.append(("mix", pipeline.ALL_RULE_SET))
-
-    manifest_update: dict = {"phase1": {}}
-    for stream, rules in wanted:
-        index = (
-            pipeline.RULE_ORDER.index(Rule(stream)) if stream != "mix"
-            else len(pipeline.RULE_ORDER)
-        )
-        rng = network.make_rng(cfg.seeds.phase1, index)
-        filtered, amended = pipeline.phase1_generate(
-            params, seed_phrase, cfg.phase1_notes, rules, cfg, rng
-        )
-        out_path = run_dir / "amended" / f"{stream}.json"
-        pipeline.save_amended(out_path, amended)
-        manifest_update["phase1"][stream] = {
-            "rules": sorted(rule.value for rule in rules),
-            "generated": len(filtered),
-            "amended": len(amended),
-            "path": str(out_path.relative_to(run_dir)),
-        }
-        log.info("%s: %d of %d notes amended", stream, len(amended), len(filtered))
-    _update_manifest(run_dir, manifest_update)
+    rules = grammar.parse_rules(args.rules) if args.rules else None
+    pipeline.amend(_seed_phrase(args, cfg), cfg, Path(args.run_dir), rules=rules)
     return EXIT_OK
 
 
 def cmd_retrain(args) -> int:
     cfg = load_config(args.config)
-    corpus = pipeline.load_corpus(Path(args.corpus))
-    run_dir = Path(args.run_dir)
-    orig_examples = pipeline.corpus_windows(corpus, cfg)
-
-    amended = {
-        rule: pipeline.load_amended(run_dir / "amended" / f"{rule.value}.json")
-        for rule in pipeline.RULE_ORDER
-    }
-    if cfg.mix_conjunction_filter:
-        mix_amended = pipeline.load_amended(run_dir / "amended" / "mix.json")
-    else:
-        mix_amended = amended[Rule.DIA] + amended[Rule.SPI] + amended[Rule.TRI]
-    datasets = {
-        "dia": pipeline.build_augmented_dataset(orig_examples, amended[Rule.DIA], cfg),
-        "spi": pipeline.build_augmented_dataset(orig_examples, amended[Rule.SPI], cfg),
-        "tri": pipeline.build_augmented_dataset(orig_examples, amended[Rule.TRI], cfg),
-        "mix": pipeline.build_augmented_dataset(orig_examples, mix_amended, cfg),
-    }
-    warm = None
-    if cfg.warm_start_retrain:
-        warm = _load_checked_weights(run_dir / "weights" / "orig.wts", cfg)
-
-    manifest_update: dict = {"modes": {}}
-    for mode, dataset in datasets.items():
-        params, trace = pipeline.train_on_examples(dataset, cfg, warm_from=warm)
-        weights_path = run_dir / "weights" / f"{mode}.wts"
-        network.save_weights(weights_path, params, _weights_meta(cfg))
-        manifest_update["modes"][mode] = {
-            "weights": str(weights_path.relative_to(run_dir)),
-            "weights_sha256": pipeline.file_fingerprint(weights_path),
-            "dataset_sha256": pipeline.dataset_fingerprint(dataset),
-            "dataset_size": len(dataset),
-            "epochs_run": len(trace),
-            "final_loss": trace[-1] if trace else None,
-        }
-        log.info("retrained %s on %d examples, final loss %.4f",
-                 mode, len(dataset), trace[-1])
-    _update_manifest(run_dir, manifest_update)
+    pipeline.retrain(pipeline.load_corpus(Path(args.corpus)), cfg, Path(args.run_dir))
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    run_dir = Path(args.run_dir)
-    params = _load_checked_weights(run_dir / "weights" / f"{args.mode}.wts", cfg)
-    seed_phrase = _resolve_seed_phrase(args, cfg)
-    if seed_phrase is None:
-        if args.corpus is None:
-            raise ValueError("need --seed-phrase or --corpus to derive one")
-        seed_phrase = pipeline.default_seed_phrase(
-            pipeline.load_corpus(Path(args.corpus)), cfg
-        )
-    rng = network.make_rng(cfg.seeds.public)
-    notes = pipeline.phase2_generate(params, seed_phrase, args.notes, cfg, rng)
-    out = Path(args.out) if args.out else run_dir / "melodies" / f"{args.mode}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    pipeline.save_melody(out, notes)
-    log.info("wrote %d notes to %s", len(notes), out)
-    if args.midi_out:
-        Path(args.midi_out).write_bytes(midi.write_midi(Melody(notes=notes)))
-        log.info("wrote MIDI to %s", args.midi_out)
+    pipeline.generate(
+        Path(args.run_dir), args.mode, _seed_phrase(args, cfg), args.notes, cfg,
+        out=Path(args.out) if args.out else None,
+        midi_out=Path(args.midi_out) if args.midi_out else None,
+    )
     return EXIT_OK
 
 
@@ -301,13 +137,11 @@ def cmd_evaluate(args) -> int:
         path = Path(path_text)
         label = pipeline.MODE_LABELS.get(path.stem, path.stem)
         reports[label] = metrics.evaluate(pipeline.load_melody(path))
-    table = metrics.report_table(reports)
-    sys.stdout.write(table)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(metrics.report_to_json(reports) + "\n")
-        (out_dir / "report.txt").write_text(table)
+        table = pipeline.write_report(reports, Path(args.out))
+    else:
+        table = metrics.report_table(reports)
+    sys.stdout.write(table)
     return EXIT_OK
 
 
@@ -324,10 +158,9 @@ def cmd_export(args) -> int:
 def cmd_run_all(args) -> int:
     cfg = load_config(args.config)
     corpus = pipeline.load_corpus(Path(args.corpus))
-    seed_phrase = _resolve_seed_phrase(args, cfg)
     manifest = pipeline.run_experiment(
         corpus, cfg, Path(args.run_dir),
-        seed_phrase=seed_phrase,
+        seed_phrase=parse_seed_phrase(args.seed_phrase) if args.seed_phrase else None,
         export_midi=not args.no_midi,
     )
     sys.stdout.write((Path(args.run_dir) / "report.txt").read_text())
@@ -341,15 +174,6 @@ def cmd_init_config(args) -> int:
     Path(args.out).write_text(json.dumps(cfg_dict, indent=2, sort_keys=True) + "\n")
     log.info("wrote default config to %s", args.out)
     return EXIT_OK
-
-
-def _weights_meta(cfg: pipeline.RunConfig) -> network.WeightsMeta:
-    return network.WeightsMeta(
-        pitch_count=cfg.vocab.pitch_count,
-        duration_count=cfg.vocab.duration_count,
-        hidden_size=cfg.hidden_size,
-        window=cfg.window,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

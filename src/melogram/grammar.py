@@ -44,9 +44,6 @@ class Rule(enum.Enum):
     TRI = "tri"
 
 
-ALL_RULES = frozenset(Rule)
-
-
 def parse_rules(text: str) -> frozenset[Rule]:
     """Parse a comma-separated rule list such as ``dia,tri``."""
     names = [part.strip().lower() for part in text.split(",") if part.strip()]

@@ -173,6 +173,8 @@ def _parse_track(reader: _Reader) -> list[RawTrackEvent]:
         else:
             running_status = status
             data = reader.read_bytes(_CHANNEL_DATA_BYTES[status & 0xF0])
+            if max(data) >= 0x80:
+                raise MidiParseError("channel data byte >= 0x80", reader.pos - len(data))
             hi = status & 0xF0
             if hi == 0x90 and data[1] > 0:
                 events.append(RawTrackEvent(tick, NOTE_ON, data[0], data[1]))

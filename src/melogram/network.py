@@ -13,8 +13,10 @@ initialization, shuffling and sampling on any platform.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -397,72 +399,99 @@ class WeightsMeta:
     window: int
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same directory.
+
+    ``os.replace`` swaps the finished file in, so an interrupted write never
+    leaves a partial file at ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_weights(path, params: LstmParams, meta: WeightsMeta) -> None:
-    """Write a versioned binary weights container.
+    """Write a versioned binary weights container, atomically.
 
     Layout: magic, format version, the four dimension fields, then each
     named tensor in a fixed order with an explicit shape header and
     row-major little-endian float64 data.
     """
     _check_shapes(params, meta)
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack(
-            "<5I", WEIGHTS_VERSION,
-            meta.pitch_count, meta.duration_count, meta.hidden_size, meta.window,
-        ))
-        fh.write(struct.pack("<I", len(PARAM_FIELDS)))
-        for name, arr in params.tensors():
-            encoded = name.encode("ascii")
-            fh.write(struct.pack("<B", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    parts = [
+        WEIGHTS_MAGIC,
+        struct.pack("<5I", WEIGHTS_VERSION,
+                    meta.pitch_count, meta.duration_count, meta.hidden_size, meta.window),
+        struct.pack("<I", len(PARAM_FIELDS)),
+    ]
+    for name, arr in params.tensors():
+        encoded = name.encode("ascii")
+        parts += [
+            struct.pack("<B", len(encoded)),
+            encoded,
+            struct.pack("<B", arr.ndim),
+            struct.pack(f"<{arr.ndim}I", *arr.shape),
+            np.ascontiguousarray(arr, dtype="<f8").tobytes(),
+        ]
+    write_atomic(path, b"".join(parts))
 
 
 def load_weights(path) -> tuple[LstmParams, WeightsMeta]:
-    """Read a weights container, refusing on any dimension inconsistency."""
+    """Read a weights container, refusing on any dimension inconsistency.
+
+    Every malformed file (bad magic, truncation anywhere, unexpected tensor
+    names or shapes, bytes after the last tensor) raises ``WeightsFormatError``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(WEIGHTS_MAGIC)] != WEIGHTS_MAGIC:
         raise WeightsFormatError("not a weights file (bad magic string)")
     offset = len(WEIGHTS_MAGIC)
-    version, p, d, h, w = struct.unpack_from("<5I", data, offset)
-    offset += 20
-    if version != WEIGHTS_VERSION:
-        raise WeightsFormatError(f"unsupported weights format version {version}")
-    meta = WeightsMeta(pitch_count=p, duration_count=d, hidden_size=h, window=w)
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    if count != len(PARAM_FIELDS):
-        raise WeightsFormatError(f"expected {len(PARAM_FIELDS)} tensors, file has {count}")
+    try:
+        version, p, d, h, w = struct.unpack_from("<5I", data, offset)
+        offset += 20
+        if version != WEIGHTS_VERSION:
+            raise WeightsFormatError(f"unsupported weights format version {version}")
+        meta = WeightsMeta(pitch_count=p, duration_count=d, hidden_size=h, window=w)
+        expected = _expected_shapes(meta)
+        (count,) = struct.unpack_from("<I", data, offset)
+        offset += 4
+        if count != len(PARAM_FIELDS):
+            raise WeightsFormatError(f"expected {len(PARAM_FIELDS)} tensors, file has {count}")
 
-    arrays: dict[str, np.ndarray] = {}
-    for expected_name in PARAM_FIELDS:
-        (name_len,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        name = data[offset : offset + name_len].decode("ascii")
-        offset += name_len
-        if name != expected_name:
-            raise WeightsFormatError(f"tensor {expected_name} missing, found {name}")
-        (ndim,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        end = offset + 8 * size
-        if end > len(data):
-            raise WeightsFormatError(f"tensor {name} data truncated")
-        arrays[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
+        arrays: dict[str, np.ndarray] = {}
+        for expected_name in PARAM_FIELDS:
+            (name_len,) = struct.unpack_from("<B", data, offset)
+            offset += 1
+            name = data[offset : offset + name_len].decode("ascii", errors="replace")
+            offset += name_len
+            if name != expected_name:
+                raise WeightsFormatError(f"tensor {expected_name} missing, found {name}")
+            (ndim,) = struct.unpack_from("<B", data, offset)
+            offset += 1
+            shape = struct.unpack_from(f"<{ndim}I", data, offset)
+            offset += 4 * ndim
+            if shape != expected[name]:
+                raise WeightsFormatError(
+                    f"tensor {name} has shape {shape}, expected {expected[name]}"
+                )
+            end = offset + 8 * int(np.prod(shape))
+            if end > len(data):
+                raise WeightsFormatError(f"tensor {name} data truncated")
+            arrays[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
+            offset = end
+    except struct.error:
+        raise WeightsFormatError(f"weights file truncated at byte {offset}") from None
+    if offset != len(data):
+        raise WeightsFormatError(f"{len(data) - offset} unexpected bytes after the last tensor")
+    return LstmParams(**arrays), meta
 
-    params = LstmParams(**arrays)
-    _check_shapes(params, meta)
-    return params, meta
 
-
-def _check_shapes(params: LstmParams, meta: WeightsMeta) -> None:
+def _expected_shapes(meta: WeightsMeta) -> dict[str, tuple[int, ...]]:
     e = meta.pitch_count + meta.duration_count
     h = meta.hidden_size
     expected: dict[str, tuple[int, ...]] = {}
@@ -472,11 +501,17 @@ def _check_shapes(params: LstmParams, meta: WeightsMeta) -> None:
         expected[f"b_{gate}"] = (h,)
     expected["V"] = (e, h)
     expected["c"] = (e,)
+    return expected
+
+
+def _check_shapes(params: LstmParams, meta: WeightsMeta) -> None:
+    expected = _expected_shapes(meta)
     for name, arr in params.tensors():
         if arr.shape != expected[name]:
             raise WeightsFormatError(
                 f"tensor {name} has shape {arr.shape}, expected {expected[name]} "
-                f"for dimensions P={meta.pitch_count} D={meta.duration_count} H={h}"
+                f"for dimensions P={meta.pitch_count} D={meta.duration_count} "
+                f"H={meta.hidden_size}"
             )
 
 

@@ -79,9 +79,3 @@ class Melody:
 
     def __iter__(self):
         return iter(self.notes)
-
-    def pitches(self) -> list[int]:
-        return [n.pitch for n in self.notes]
-
-    def durations(self) -> list[int]:
-        return [n.duration for n in self.notes]

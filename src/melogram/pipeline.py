@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from .encoding import (
     TrainingExample,
     default_vocabulary,
     encode_note,
+    fold_pitch,
     make_training_windows,
     note_indices,
     sample_index,
@@ -40,6 +42,9 @@ MODES = ("orig", "dia", "spi", "tri", "mix")
 RULE_ORDER = (Rule.DIA, Rule.SPI, Rule.TRI)
 ALL_RULE_SET = frozenset(Rule)
 MODE_LABELS = {"orig": "Orig", "dia": "DIA", "spi": "SPI", "tri": "TRI", "mix": "MIX"}
+MANIFEST = "manifest.json"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,11 @@ def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> list[TrainingExample
     examples: list[TrainingExample] = []
     for melody in corpus:
         examples.extend(make_training_windows(melody, cfg.window, cfg.vocab))
+    if not examples:
+        raise ValueError(
+            f"corpus yields no training windows: every piece needs more than "
+            f"{cfg.window} notes"
+        )
     return examples
 
 
@@ -204,13 +214,7 @@ def train_on_examples(
 
 
 def train_orig(corpus: list[Melody], cfg: RunConfig) -> tuple[network.LstmParams, list[float]]:
-    examples = corpus_windows(corpus, cfg)
-    if not examples:
-        raise ValueError(
-            f"corpus yields no training windows: every piece needs more than "
-            f"{cfg.window} notes"
-        )
-    return train_on_examples(examples, cfg)
+    return train_on_examples(corpus_windows(corpus, cfg), cfg)
 
 
 def _check_seed_phrase(seed_phrase: list[NoteEvent], cfg: RunConfig) -> None:
@@ -391,7 +395,185 @@ def load_amended(path: Path) -> list[AmendedPair]:
     ]
 
 
-# --- full experiment --------------------------------------------------------
+# --- stages ------------------------------------------------------------------
+#
+# One function per stage of the experiment; ``run_experiment`` and the CLI
+# commands both call these. Each stage after ingest reads what earlier stages
+# left in the run directory, writes its own files there and records them in
+# ``manifest.json``.
+
+def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: bool = False,
+           allow_any_meter: bool = False) -> list[Melody]:
+    """Build a corpus from the ``.mid``/``.midi`` files of a directory, in name order.
+
+    Each piece keeps its highest sounding line, is transposed to C by ``key``
+    (else its key signature, else an estimate when ``detect_key``), snapped
+    onto the duration grid and folded into the pitch range by octaves. A file
+    that does not parse, is not in 4/4 (unless ``allow_any_meter``), has no
+    notes or has no key is logged by name and skipped.
+    """
+    midi_dir = Path(midi_dir)
+    paths = sorted(p for p in midi_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))
+    if not paths:
+        raise ValueError(f"no MIDI files in {midi_dir}")
+
+    corpus: list[Melody] = []
+    for path in paths:
+        try:
+            parsed = midi.parse_midi(path.read_bytes())
+        except midi.MidiParseError as exc:
+            log.warning("rejected %s: %s", path.name, exc)
+            continue
+        events = parsed.merged_events()
+        signature = midi.first_time_signature(events)
+        if signature is not None and signature != (4, 4) and not allow_any_meter:
+            log.warning("rejected %s: time signature %d/%d is not 4/4", path.name, *signature)
+            continue
+        try:
+            melody = midi.extract_melody(events)
+        except midi.EmptyMelodyError as exc:
+            log.warning("rejected %s: %s", path.name, exc)
+            continue
+        piece_key = key or melody.source_key
+        if piece_key is None and detect_key:
+            piece_key = midi.estimate_key(melody)
+            log.info("%s: estimated key %s", path.name, piece_key.name)
+        if piece_key is None:
+            log.warning("rejected %s: no key signature; pass --key or --detect-key", path.name)
+            continue
+        melody = midi.transpose_to_c(melody, piece_key)
+        melody = midi.quantize_durations(melody, parsed.division, cfg.vocab)
+        notes = [NoteEvent(fold_pitch(n.pitch, cfg.vocab), n.duration) for n in melody.notes]
+        folded = sum(a.pitch != b.pitch for a, b in zip(notes, melody.notes))
+        if folded:
+            log.warning("%s: folded %d notes into the vocabulary range by octaves",
+                        path.name, folded)
+        corpus.append(Melody(notes=notes, source_key=melody.source_key))
+        log.info("accepted %s: %d notes", path.name, len(notes))
+
+    if not corpus:
+        raise ValueError(f"no usable pieces in {midi_dir}")
+    return corpus
+
+
+def train(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
+    """Train ``orig`` on the corpus windows into ``weights/orig.wts``."""
+    examples = corpus_windows(corpus, cfg)
+    params, trace = train_on_examples(examples, cfg)
+    entry = _save_mode(run_dir, "orig", params, trace, examples, cfg)
+    update_manifest(run_dir, {
+        "config": config_to_dict(cfg),
+        "corpus": {
+            "pieces": len(corpus),
+            "windows": entry["dataset_size"],
+            "sha256": entry["dataset_sha256"],
+        },
+        "modes": {"orig": entry},
+    })
+
+
+def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
+          rules: frozenset[Rule] | None = None) -> None:
+    """Harvest amended pairs from rule-filtered streams of ``orig``.
+
+    One stream per rule (only those in ``rules`` when given), each into
+    ``amended/<rule>.json``; with ``mix_conjunction_filter`` and no ``rules``
+    also a ``mix`` stream filtered by all three rules at once. A stream's
+    random seed depends on the stream alone, so a subset reproduces the
+    streams of a full run.
+    """
+    params = load_checked_weights(run_dir, "orig", cfg)
+    streams = [
+        (rule.value, frozenset({rule}), index)
+        for index, rule in enumerate(RULE_ORDER)
+        if rules is None or rule in rules
+    ]
+    if cfg.mix_conjunction_filter and rules is None:
+        streams.append(("mix", ALL_RULE_SET, len(RULE_ORDER)))
+
+    (run_dir / "amended").mkdir(parents=True, exist_ok=True)
+    phase1 = {}
+    for stream, stream_rules, index in streams:
+        rng = network.make_rng(cfg.seeds.phase1, index)
+        filtered, amended = phase1_generate(
+            params, seed_phrase, cfg.phase1_notes, stream_rules, cfg, rng
+        )
+        path = run_dir / "amended" / f"{stream}.json"
+        save_amended(path, amended)
+        phase1[stream] = {
+            "rules": sorted(rule.value for rule in stream_rules),
+            "generated": len(filtered),
+            "amended": len(amended),
+            "path": str(path.relative_to(run_dir)),
+        }
+        log.info("%s: %d of %d notes amended", stream, len(amended), len(filtered))
+    update_manifest(run_dir, {
+        "seed_phrase": [[n.pitch, n.duration] for n in seed_phrase],
+        "phase1": phase1,
+    })
+
+
+def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
+    """Train ``dia``/``spi``/``tri``/``mix`` on the corpus plus their amended pairs.
+
+    ``mix`` pools the three rule streams, or takes the conjunction stream
+    under ``mix_conjunction_filter``. With ``warm_start_retrain`` every
+    retrain starts from the ``orig`` weights instead of a fresh init.
+    """
+    orig_examples = corpus_windows(corpus, cfg)
+    amended = {
+        rule.value: load_amended(run_dir / "amended" / f"{rule.value}.json")
+        for rule in RULE_ORDER
+    }
+    if cfg.mix_conjunction_filter:
+        amended["mix"] = load_amended(run_dir / "amended" / "mix.json")
+    else:
+        amended["mix"] = [pair for rule in RULE_ORDER for pair in amended[rule.value]]
+    warm = load_checked_weights(run_dir, "orig", cfg) if cfg.warm_start_retrain else None
+
+    modes = {}
+    for mode in MODES[1:]:
+        dataset = build_augmented_dataset(orig_examples, amended[mode], cfg)
+        params, trace = train_on_examples(dataset, cfg, warm_from=warm)
+        modes[mode] = _save_mode(run_dir, mode, params, trace, dataset, cfg)
+    update_manifest(run_dir, {"modes": modes})
+
+
+def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg: RunConfig,
+             out: Path | None = None, midi_out: Path | None = None) -> list[NoteEvent]:
+    """Sample ``n`` notes freely from one weight set under the public seed.
+
+    The melody goes to ``out``, by default ``melodies/<mode>.json``, which
+    the manifest then records; ``midi_out`` also exports it as MIDI.
+    """
+    params = load_checked_weights(run_dir, mode, cfg)
+    rng = network.make_rng(cfg.seeds.public)
+    notes = phase2_generate(params, seed_phrase, n, cfg, rng)
+    path = out if out is not None else run_dir / "melodies" / f"{mode}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_melody(path, notes)
+    log.info("wrote %d notes to %s", len(notes), path)
+    if midi_out is not None:
+        midi_out.write_bytes(midi.write_midi(Melody(notes=notes)))
+    if out is None:
+        update_manifest(run_dir, {"melodies": {mode: str(path.relative_to(run_dir))}})
+    return notes
+
+
+def write_report(reports: dict[str, metrics.MetricsReport], out_dir: Path) -> str:
+    """Write ``report.json`` and ``report.txt``; returns the text table.
+
+    When ``out_dir`` is a run directory (it holds a manifest), the manifest
+    records both files.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table = metrics.report_table(reports)
+    (out_dir / "report.json").write_text(metrics.report_to_json(reports) + "\n")
+    (out_dir / "report.txt").write_text(table)
+    if (out_dir / MANIFEST).exists():
+        update_manifest(out_dir, {"report": {"json": "report.json", "text": "report.txt"}})
+    return table
+
 
 def default_seed_phrase(corpus: list[Melody], cfg: RunConfig) -> list[NoteEvent]:
     """First window of the first corpus piece long enough to supply one."""
@@ -411,135 +593,76 @@ def run_experiment(
     """Run the whole five-mode experiment into a run directory.
 
     Writes weight files, amended-pair files, generated melodies, the metric
-    report and a manifest tying them together. Fully determined by the
-    corpus, the config and its seeds.
+    report and a manifest tying them together, and returns the manifest.
+    Fully determined by the corpus, the config and its seeds.
     """
     out_dir = Path(out_dir)
-    for sub in ("weights", "amended", "melodies"):
-        (out_dir / sub).mkdir(parents=True, exist_ok=True)
     if seed_phrase is None:
         seed_phrase = default_seed_phrase(corpus, cfg)
     _check_seed_phrase(seed_phrase, cfg)
+    (out_dir / MANIFEST).unlink(missing_ok=True)  # a run starts from a fresh manifest
 
-    weights_meta = network.WeightsMeta(
-        pitch_count=cfg.vocab.pitch_count,
-        duration_count=cfg.vocab.duration_count,
-        hidden_size=cfg.hidden_size,
-        window=cfg.window,
-    )
-    manifest: dict = {
-        "config": config_to_dict(cfg),
-        "seed_phrase": [[n.pitch, n.duration] for n in seed_phrase],
-        "modes": {},
-        "phase1": {},
-    }
-
-    orig_examples = corpus_windows(corpus, cfg)
-    if not orig_examples:
-        raise ValueError("corpus yields no training windows")
-    manifest["corpus"] = {
-        "pieces": len(corpus),
-        "windows": len(orig_examples),
-        "sha256": dataset_fingerprint(orig_examples),
-    }
-
-    params_by_mode: dict[str, network.LstmParams] = {}
-    orig_params, orig_trace = train_on_examples(orig_examples, cfg)
-    params_by_mode["orig"] = orig_params
-    _record_mode(
-        manifest, out_dir, "orig", orig_params, orig_trace,
-        dataset_fingerprint(orig_examples), len(orig_examples), weights_meta,
-    )
-
-    phase1_streams: list[tuple[str, frozenset[Rule]]] = [
-        (rule.value, frozenset({rule})) for rule in RULE_ORDER
-    ]
-    if cfg.mix_conjunction_filter:
-        # Optional variant: MIX amendments come from one stream filtered by
-        # all three rules at once, instead of pooling the per-rule streams.
-        phase1_streams.append(("mix", ALL_RULE_SET))
-
-    amended_by_stream: dict[str, list[AmendedPair]] = {}
-    for index, (stream, rules) in enumerate(phase1_streams):
-        rng = network.make_rng(cfg.seeds.phase1, index)
-        filtered, amended = phase1_generate(
-            orig_params, seed_phrase, cfg.phase1_notes, rules, cfg, rng
-        )
-        amended_by_stream[stream] = amended
-        amended_path = out_dir / "amended" / f"{stream}.json"
-        save_amended(amended_path, amended)
-        manifest["phase1"][stream] = {
-            "rules": sorted(rule.value for rule in rules),
-            "generated": len(filtered),
-            "amended": len(amended),
-            "path": str(amended_path.relative_to(out_dir)),
-        }
-
-    if cfg.mix_conjunction_filter:
-        mix_amended = amended_by_stream["mix"]
-    else:
-        mix_amended = (
-            amended_by_stream["dia"] + amended_by_stream["spi"] + amended_by_stream["tri"]
-        )
-    datasets = {
-        "dia": build_augmented_dataset(orig_examples, amended_by_stream["dia"], cfg),
-        "spi": build_augmented_dataset(orig_examples, amended_by_stream["spi"], cfg),
-        "tri": build_augmented_dataset(orig_examples, amended_by_stream["tri"], cfg),
-        "mix": build_augmented_dataset(orig_examples, mix_amended, cfg),
-    }
-    for mode, dataset in datasets.items():
-        warm = orig_params if cfg.warm_start_retrain else None
-        params, trace = train_on_examples(dataset, cfg, warm_from=warm)
-        params_by_mode[mode] = params
-        _record_mode(
-            manifest, out_dir, mode, params, trace,
-            dataset_fingerprint(dataset), len(dataset), weights_meta,
-        )
-
+    train(corpus, cfg, out_dir)
+    amend(seed_phrase, cfg, out_dir)
+    retrain(corpus, cfg, out_dir)
     reports = {"DS": metrics.evaluate_many([m.notes for m in corpus])}
-    manifest["melodies"] = {}
     for mode in MODES:
-        rng = network.make_rng(cfg.seeds.public)
-        notes = phase2_generate(params_by_mode[mode], seed_phrase, cfg.phase2_notes, cfg, rng)
-        melody_path = out_dir / "melodies" / f"{mode}.json"
-        save_melody(melody_path, notes)
-        manifest["melodies"][mode] = str(melody_path.relative_to(out_dir))
-        if export_midi:
-            midi_path = out_dir / "melodies" / f"{mode}.mid"
-            midi_path.write_bytes(midi.write_midi(Melody(notes=notes)))
+        midi_out = out_dir / "melodies" / f"{mode}.mid" if export_midi else None
+        notes = generate(out_dir, mode, seed_phrase, cfg.phase2_notes, cfg, midi_out=midi_out)
         reports[MODE_LABELS[mode]] = metrics.evaluate(notes)
-
-    report_json = out_dir / "report.json"
-    report_json.write_text(metrics.report_to_json(reports) + "\n")
-    report_txt = out_dir / "report.txt"
-    report_txt.write_text(metrics.report_table(reports))
-    manifest["report"] = {
-        "json": str(report_json.relative_to(out_dir)),
-        "text": str(report_txt.relative_to(out_dir)),
-    }
-
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
+    write_report(reports, out_dir)
+    return read_manifest(out_dir)
 
 
-def _record_mode(
-    manifest: dict,
-    out_dir: Path,
-    mode: str,
-    params: network.LstmParams,
-    trace: list[float],
-    dataset_sha: str,
-    dataset_size: int,
-    meta: network.WeightsMeta,
-) -> None:
-    weights_path = out_dir / "weights" / f"{mode}.wts"
-    network.save_weights(weights_path, params, meta)
-    manifest["modes"][mode] = {
-        "weights": str(weights_path.relative_to(out_dir)),
-        "weights_sha256": file_fingerprint(weights_path),
-        "dataset_sha256": dataset_sha,
-        "dataset_size": dataset_size,
+# --- run directory ------------------------------------------------------------
+
+def read_manifest(run_dir: Path) -> dict:
+    path = run_dir / MANIFEST
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def update_manifest(run_dir: Path, update: dict) -> None:
+    """Merge ``update`` into the run's manifest and write it atomically.
+
+    Blocks that are objects on both sides are merged key by key, so each
+    stage adds its own entries; anything else is replaced.
+    """
+    manifest = read_manifest(run_dir)
+    for key, value in update.items():
+        if isinstance(value, dict) and isinstance(manifest.get(key), dict):
+            manifest[key].update(value)
+        else:
+            manifest[key] = value
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    network.write_atomic(run_dir / MANIFEST, text.encode())
+
+
+def _weights_meta(cfg: RunConfig) -> network.WeightsMeta:
+    return network.WeightsMeta(pitch_count=cfg.vocab.pitch_count,
+                               duration_count=cfg.vocab.duration_count,
+                               hidden_size=cfg.hidden_size, window=cfg.window)
+
+
+def load_checked_weights(run_dir: Path, mode: str, cfg: RunConfig) -> network.LstmParams:
+    """``weights/<mode>.wts``, refused unless its dimensions match the config."""
+    params, meta = network.load_weights(run_dir / "weights" / f"{mode}.wts")
+    network.check_compatible(meta, **vars(_weights_meta(cfg)))
+    return params
+
+
+def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list[float],
+               dataset: list[TrainingExample], cfg: RunConfig) -> dict:
+    """Save one weight set and return its manifest entry."""
+    path = run_dir / "weights" / f"{mode}.wts"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    network.save_weights(path, params, _weights_meta(cfg))
+    log.info("trained %s on %d examples for %d epochs, final loss %.4f",
+             mode, len(dataset), len(trace), trace[-1])
+    return {
+        "weights": str(path.relative_to(run_dir)),
+        "weights_sha256": file_fingerprint(path),
+        "dataset_sha256": dataset_fingerprint(dataset),
+        "dataset_size": len(dataset),
         "epochs_run": len(trace),
         "final_loss": trace[-1] if trace else None,
     }

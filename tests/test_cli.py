@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from melogram import cli, pipeline
 from melogram.encoding import NoteVocabulary
 from melogram.midi import extract_melody, parse_midi, quantize_durations
-from melogram.notes import NoteEvent
+from melogram.notes import Key, NoteEvent
 
 from conftest import random_melody
 from test_midi import off, on, smf
@@ -107,6 +108,28 @@ class TestIngest:
         assert cli.main(["ingest", str(midi_dir), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_corrupt_file_is_skipped_and_named(self, tmp_path, caplog):
+        midi_dir = tmp_path / "midi"
+        midi_dir.mkdir()
+        (midi_dir / "good.mid").write_bytes(
+            smf(melody_track([60, 62, 64, 65, 67, 69, 71, 72], key_sig=(0, 0)))
+        )
+        # 0xD7 is no MIDI data byte: a note-on/off pair with it as the pitch.
+        (midi_dir / "corrupt.mid").write_bytes(smf(melody_track([60, 0xD7, 64], key_sig=(0, 0))))
+        out = tmp_path / "corpus.json"
+        assert cli.main(["ingest", str(midi_dir), "--out", str(out)]) == 0
+        assert len(pipeline.load_corpus(out)) == 1
+        assert "rejected corrupt.mid" in caplog.text
+
+    def test_library_ingest_matches_command(self, tmp_path):
+        midi_dir = tmp_path / "midi"
+        midi_dir.mkdir()
+        (midi_dir / "a.mid").write_bytes(smf(melody_track([62, 64, 66, 67, 69, 71, 73, 74])))
+        out = tmp_path / "corpus.json"
+        assert cli.main(["ingest", str(midi_dir), "--out", str(out), "--key", "D:major"]) == 0
+        corpus = pipeline.ingest(midi_dir, pipeline.RunConfig(), key=Key.parse("D:major"))
+        assert corpus == pipeline.load_corpus(out)
+
     def test_empty_directory_fails_validation(self, tmp_path):
         midi_dir = tmp_path / "empty"
         midi_dir.mkdir()
@@ -173,6 +196,26 @@ class TestStagedCommands:
         retrained = json.loads((run_dir / "manifest.json").read_text())
         assert retrained["modes"]["mix"]["dataset_size"] == orig_windows + len(mix_pairs)
 
+    def test_amend_rule_subset_reproduces_its_streams(self, tmp_path, caplog):
+        config = tiny_config_file(tmp_path)
+        corpus = write_corpus(tmp_path)
+        full, subset = tmp_path / "full", tmp_path / "subset"
+        common = ["--corpus", str(corpus), "--config", str(config)]
+        assert cli.main(["train", *common, "--run-dir", str(full)]) == 0
+        assert cli.main(["amend", *common, "--run-dir", str(full)]) == 0
+        (subset / "weights").mkdir(parents=True)
+        shutil.copy(full / "weights" / "orig.wts", subset / "weights" / "orig.wts")
+
+        assert cli.main(["amend", *common, "--run-dir", str(subset), "--rules", "tri, dia"]) == 0
+        assert sorted(p.name for p in (subset / "amended").iterdir()) == ["dia.json", "tri.json"]
+        for name in ("dia.json", "tri.json"):
+            assert (subset / "amended" / name).read_bytes() == (
+                full / "amended" / name).read_bytes()
+
+        code = cli.main(["amend", *common, "--run-dir", str(subset), "--rules", "dia,fancy"])
+        assert code == cli.EXIT_VALIDATION
+        assert "valid rules: dia, spi, tri" in caplog.text
+
     def test_dimension_mismatch_refused_with_both_sizes(self, tmp_path, caplog):
         config = tiny_config_file(tmp_path)
         corpus = write_corpus(tmp_path)
@@ -202,6 +245,39 @@ class TestRunAll:
         assert (run_dir / "report.json").exists()
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["DS", "Orig", "DIA", "SPI", "TRI", "MIX"]
+
+
+class TestStagedMatchesRunAll:
+    def test_staged_commands_write_what_run_all_writes(self, tmp_path):
+        config = tiny_config_file(tmp_path)
+        corpus = write_corpus(tmp_path)
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        common = ["--corpus", str(corpus), "--config", str(config)]
+        for command in ("train", "amend", "retrain"):
+            assert cli.main([command, *common, "--run-dir", str(staged)]) == 0
+        for mode in pipeline.MODES:
+            assert cli.main(["generate", "--run-dir", str(staged), "--config", str(config),
+                             "--mode", mode, "-n", "40", "--corpus", str(corpus)]) == 0
+        melodies = [str(staged / "melodies" / f"{mode}.json") for mode in pipeline.MODES]
+        assert cli.main(["evaluate", *melodies, "--corpus", str(corpus),
+                         "--out", str(staged)]) == 0
+        assert cli.main(["run-all", *common, "--run-dir", str(whole), "--no-midi"]) == 0
+
+        def files(run_dir: Path) -> dict[str, bytes]:
+            return {str(p.relative_to(run_dir)): p.read_bytes()
+                    for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+        staged_files, whole_files = files(staged), files(whole)
+        assert sorted(staged_files) == sorted(whole_files)
+        assert not [name for name in whole_files if Path(name).name.startswith(".")]
+        for name in whole_files:
+            if name != "manifest.json":
+                assert staged_files[name] == whole_files[name], name
+        staged_manifest = json.loads(staged_files["manifest.json"])
+        whole_manifest = json.loads(whole_files["manifest.json"])
+        for block in ("modes", "phase1", "corpus", "seed_phrase"):
+            assert staged_manifest[block] == whole_manifest[block], block
+        assert staged_files["manifest.json"] == whole_files["manifest.json"]
 
 
 class TestExport:

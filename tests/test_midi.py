@@ -98,6 +98,11 @@ class TestParseMidi:
         with pytest.raises(MidiParseError, match="byte offset"):
             parse_midi(data)
 
+    def test_data_byte_with_high_bit_rejected(self):
+        data = smf([(0, on(60)), (240, off(60)), (0, on(0xD7)), (240, off(0xD7))])
+        with pytest.raises(MidiParseError, match="data byte.*byte offset"):
+            parse_midi(data)
+
     def test_running_status(self):
         # Second note-on omits the status byte.
         events = [(0, on(60)), (120, bytes([62, 64])), (120, off(60)), (0, off(62))]

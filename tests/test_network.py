@@ -392,6 +392,37 @@ class TestWeightsFile:
         with pytest.raises(WeightsFormatError, match="truncated"):
             load_weights(tmp_path / "cut.wts")
 
+    def test_every_prefix_and_an_extra_byte_rejected(self, tmp_path):
+        params = init_params(5, 2, make_rng(12))
+        meta = WeightsMeta(pitch_count=3, duration_count=2, hidden_size=2, window=7)
+        path = tmp_path / "model.wts"
+        save_weights(path, params, meta)
+        data = path.read_bytes()
+        bad = tmp_path / "bad.wts"
+        for cut in range(len(data)):
+            bad.write_bytes(data[:cut])
+            with pytest.raises(WeightsFormatError):
+                load_weights(bad)
+        bad.write_bytes(data + b"\x00")
+        with pytest.raises(WeightsFormatError, match="after the last tensor"):
+            load_weights(bad)
+
+    def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
+        params = init_params(17, 5, make_rng(12))
+        meta = WeightsMeta(pitch_count=13, duration_count=4, hidden_size=5, window=7)
+        path = tmp_path / "model.wts"
+        save_weights(path, params, meta)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(nw.os, "replace", fail)
+        with pytest.raises(OSError, match="interrupted"):
+            save_weights(path, init_params(17, 5, make_rng(13)), meta)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.wts"]
+
     def test_check_compatible_names_both_dimensions(self):
         meta = WeightsMeta(pitch_count=59, duration_count=30, hidden_size=128, window=7)
         with pytest.raises(WeightsFormatError, match="128.*64"):
