@@ -262,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (midi.MidiParseError, ConfigParseError, json.JSONDecodeError) as exc:
+    except (midi.MidiParseError, ConfigParseError, pipeline.InputFormatError,
+            json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_PARSE
     except (ValueError, network.WeightsFormatError, FileNotFoundError) as exc:

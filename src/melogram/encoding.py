@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .notes import Melody, NoteEvent
+from .notes import Melody, NoteEvent, fold_octaves
 
 DEFAULT_PITCH_LO = 36
 DEFAULT_PITCH_HI = 94
@@ -148,10 +148,15 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index from a probability vector via the inverse CDF.
 
     The draw is scaled by the actual total mass so tiny normalization
-    residue cannot push the cut point past the last slot.
+    residue cannot push the cut point past the last slot. A total mass that
+    is not finite and positive (a diverged model gives NaN) raises
+    ``ValueError`` instead of yielding a slot.
     """
     cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    total = cum[-1]
+    if not 0.0 < total < np.inf:  # also false for NaN
+        raise ValueError(f"cannot sample from a distribution with total mass {total}")
+    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
     return min(idx, len(probs) - 1)
 
 
@@ -162,11 +167,7 @@ def fold_pitch(pitch: int, vocab: NoteVocabulary) -> int:
     metric depends on. The vocabulary spans at least an octave, so the fold
     always terminates.
     """
-    while pitch < vocab.pitch_lo:
-        pitch += 12
-    while pitch > vocab.pitch_hi:
-        pitch -= 12
-    return pitch
+    return fold_octaves(pitch, vocab.pitch_lo, vocab.pitch_hi)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 
 from .encoding import NoteVocabulary
-from .notes import A_MINOR, C_MAJOR, Key, Melody, NoteEvent
+from .notes import A_MINOR, C_MAJOR, Key, Melody, NoteEvent, fold_octaves
 
 log = logging.getLogger(__name__)
 
@@ -283,11 +283,7 @@ def transpose_to_c(melody: Melody, key: Key) -> Melody:
     for note in melody.notes:
         pitch = note.pitch + shift
         if not 0 <= pitch <= 127:
-            clamped = pitch
-            while clamped < 0:
-                clamped += 12
-            while clamped > 127:
-                clamped -= 12
+            clamped = fold_octaves(pitch, 0, 127)
             log.warning("pitch %d out of MIDI range after transposition, clamped to %d",
                         pitch, clamped)
             pitch = clamped

@@ -146,26 +146,72 @@ def init_params(
 
 
 def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState) -> LstmState:
-    """Advance the recurrent state by one input vector."""
-    i = sigmoid(params.W_i @ x + params.U_i @ prev.h + params.b_i)
-    o = sigmoid(params.W_o @ x + params.U_o @ prev.h + params.b_o)
-    f = sigmoid(params.W_f @ x + params.U_f @ prev.h + params.b_f)
-    g = np.tanh(params.W_c @ x + params.U_c @ prev.h + params.b_c)
+    """Advance the recurrent state by one input vector.
+
+    ``prev`` is one state, ``C`` and ``h`` of shape (H,), or a stack of k
+    states of shape (k, H) that all read the same ``x``; the recurrent
+    products of a stack run as one matrix product per gate.
+    """
+    i = sigmoid(prev.h @ params.U_i.T + (params.W_i @ x + params.b_i))
+    o = sigmoid(prev.h @ params.U_o.T + (params.W_o @ x + params.b_o))
+    f = sigmoid(prev.h @ params.U_f.T + (params.W_f @ x + params.b_f))
+    g = np.tanh(prev.h @ params.U_c.T + (params.W_c @ x + params.b_c))
     C = i * g + f * prev.C
     return LstmState(C=C, h=o * np.tanh(C))
 
 
-def forward(params: LstmParams, context: np.ndarray) -> np.ndarray:
-    """Run a context (W x E) from a zero state; return the raw output layer."""
+@dataclass
+class Window:
+    """A bank of recurrences over the last ``size`` inputs of one stream.
+
+    Row k of ``state`` has read the stream's last k+1 inputs from a zero
+    state, so the last row of a full bank has read exactly the window that
+    ``forward`` reads. One more input costs one step of the (size, H) stack:
+    the oldest row leaves, a zero row enters and every row reads the input.
+    ``context`` is the window the bank last read.
+    """
+
+    size: int
+    state: LstmState | None = None
+    context: np.ndarray | None = None
+
+    def read(self, params: LstmParams, x: np.ndarray) -> None:
+        zero = np.zeros((1, params.hidden_size))
+        if self.state is None:
+            prev = LstmState(C=zero, h=zero)
+        else:
+            keep = self.size - 1
+            prev = LstmState(C=np.concatenate((zero, self.state.C[:keep])),
+                             h=np.concatenate((zero, self.state.h[:keep])))
+        self.state = lstm_step(params, x, prev)
+
+
+def forward(params: LstmParams, context: np.ndarray, window: Window | None = None) -> np.ndarray:
+    """Run a context (W x E) from a zero state; return the raw output layer.
+
+    With a ``window`` bank of size W, a context that is the bank's previous
+    one slid by one input costs a single step of the bank; any other context
+    is read from a fresh bank. The result is the same either way, up to
+    rounding in the last bit, so a generation stream passes one bank to
+    every call.
+    """
     context = np.asarray(context, dtype=float)
-    if context.ndim != 2 or context.shape[1] != params.input_size:
+    if context.ndim != 2 or not len(context) or context.shape[1] != params.input_size:
         raise ValueError(
-            f"context must be (steps, {params.input_size}), got {context.shape}"
+            f"context must be (steps >= 1, {params.input_size}), got {context.shape}"
         )
-    state = zero_state(params.hidden_size)
-    for x in context:
-        state = lstm_step(params, x, state)
-    return params.V @ state.h + params.c
+    if window is None:
+        window = Window(len(context))
+    elif len(context) != window.size:
+        raise ValueError(f"context has {len(context)} steps, window bank holds {window.size}")
+    if window.context is not None and np.array_equal(context[:-1], window.context[1:]):
+        window.read(params, context[-1])
+    else:
+        window.state = None
+        for x in context:
+            window.read(params, x)
+    window.context = context.copy()
+    return params.V @ window.state.h[-1] + params.c
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -342,6 +388,7 @@ def fit(
     The last partial batch is trained rather than dropped. Training stops at
     the epoch cap or once the best epoch loss has failed to improve by more
     than ``plateau_threshold`` for ``plateau_patience`` consecutive epochs.
+    An epoch loss that is not finite raises ``ValueError`` naming the epoch.
 
     The returned params are those at the end of the best epoch, the one that
     last lowered the best loss by more than ``plateau_threshold``: Adam's loss
@@ -374,6 +421,8 @@ def fit(
             adam_update(params, grads, adam)
             total += batch_loss * len(batch)
         epoch_loss = total / n
+        if not np.isfinite(epoch_loss):
+            raise ValueError(f"training diverged: epoch {len(trace) + 1} loss is {epoch_loss}")
         trace.append(epoch_loss)
         if best - epoch_loss > plateau_threshold:
             best = epoch_loss

@@ -8,6 +8,19 @@ PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#",
 MODES = ("major", "minor")
 
 
+def fold_octaves(pitch: int, lo: int, hi: int) -> int:
+    """Shift a pitch by whole octaves until it lies in ``lo..hi``.
+
+    Octave shifts keep the pitch class. The range must hold at least 12
+    pitches, so some octave of every pitch class lies inside it.
+    """
+    while pitch < lo:
+        pitch += 12
+    while pitch > hi:
+        pitch -= 12
+    return pitch
+
+
 @dataclass(frozen=True)
 class NoteEvent:
     """A single melodic note: MIDI pitch plus an integer duration count.

@@ -248,8 +248,9 @@ def phase1_generate(
     history = list(seed_phrase)
     generated: list[NoteEvent] = []
     amended_pairs: list[AmendedPair] = []
+    bank = network.Window(cfg.window)
     for _ in range(n):
-        raw = network.forward(params, np.stack(encoded))
+        raw = network.forward(params, np.stack(encoded), bank)
         pitch_dist, dur_dist = split_distribution(raw, cfg.vocab)
         note, attempts, amended = grammar.constrained_sample(
             pitch_dist, dur_dist, history, rules, cfg.vocab, rng,
@@ -281,8 +282,9 @@ def phase2_generate(
     encoded = [encode_note(note, cfg.vocab) for note in seed_phrase]
     vocab = cfg.vocab
     generated: list[NoteEvent] = []
+    bank = network.Window(cfg.window)
     for _ in range(n):
-        raw = network.forward(params, np.stack(encoded))
+        raw = network.forward(params, np.stack(encoded), bank)
         pitch_dist, dur_dist = split_distribution(raw, vocab)
         note = NoteEvent(
             pitch=vocab.pitch_lo + sample_index(pitch_dist, rng),
@@ -338,13 +340,65 @@ def melody_to_obj(melody: Melody) -> dict:
     return obj
 
 
-def melody_from_obj(obj: dict) -> Melody:
+class InputFormatError(ValueError):
+    """A corpus, melody or amended-pairs file does not follow its JSON schema."""
+
+
+def _load_json(path: Path, decode):
+    """``decode`` the JSON of ``path``; any schema error names the file and the field."""
+    try:
+        return decode(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+
+
+def _join(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """``obj[key]``, refused unless ``obj`` is an object holding a ``kind`` there."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{where or 'top level'}: expected an object, "
+                               f"got {type(obj).__name__}")
+    if key not in obj:
+        raise InputFormatError(f"{where or 'top level'}: missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise InputFormatError(f"{_join(where, key)}: expected {kind.__name__}, "
+                               f"got {type(value).__name__}")
+    return value
+
+
+def _note_from(item, where: str) -> NoteEvent:
+    """A note stored as a ``[pitch, duration]`` pair of integers."""
+    if not (isinstance(item, list) and len(item) == 2
+            and type(item[0]) is int and type(item[1]) is int):
+        raise InputFormatError(f"{where}: expected a [pitch, duration] pair of integers, "
+                               f"got {item!r}")
+    try:
+        return NoteEvent(*item)
+    except ValueError as exc:
+        raise InputFormatError(f"{where}: {exc}") from None
+
+
+def melody_from_obj(obj: dict, where: str = "") -> Melody:
+    """Inverse of ``melody_to_obj``; ``where`` locates ``obj`` in error messages."""
+    items = _field(obj, "notes", list, where)
     key = None
     if obj.get("source_key") is not None:
-        key_obj = obj["source_key"]
-        key = Key(key_obj["tonic"], key_obj["mode"])
+        key_where = _join(where, "source_key")
+        tonic = _field(obj["source_key"], "tonic", int, key_where)
+        mode = _field(obj["source_key"], "mode", str, key_where)
+        try:
+            key = Key(tonic, mode)
+        except ValueError as exc:
+            raise InputFormatError(f"{key_where}: {exc}") from None
+    notes_where = _join(where, "notes")
     return Melody(
-        notes=[NoteEvent(pitch, duration) for pitch, duration in obj["notes"]],
+        notes=[_note_from(item, f"{notes_where}[{i}]") for i, item in enumerate(items)],
         source_key=key,
     )
 
@@ -355,8 +409,10 @@ def save_corpus(path: Path, corpus: list[Melody]) -> None:
 
 
 def load_corpus(path: Path) -> list[Melody]:
-    payload = json.loads(Path(path).read_text())
-    return [melody_from_obj(obj) for obj in payload["pieces"]]
+    return _load_json(path, lambda payload: [
+        melody_from_obj(obj, f"pieces[{i}]")
+        for i, obj in enumerate(_field(payload, "pieces", list, ""))
+    ])
 
 
 def save_melody(path: Path, notes: list[NoteEvent]) -> None:
@@ -366,7 +422,7 @@ def save_melody(path: Path, notes: list[NoteEvent]) -> None:
 
 
 def load_melody(path: Path) -> list[NoteEvent]:
-    return melody_from_obj(json.loads(Path(path).read_text())).notes
+    return _load_json(path, lambda payload: melody_from_obj(payload).notes)
 
 
 def save_amended(path: Path, amended: list[AmendedPair]) -> None:
@@ -383,16 +439,29 @@ def save_amended(path: Path, amended: list[AmendedPair]) -> None:
 
 
 def load_amended(path: Path) -> list[AmendedPair]:
-    payload = json.loads(Path(path).read_text())
-    return [
-        AmendedPair(
-            context=tuple(NoteEvent(p, d) for p, d in item["context"]),
-            note=NoteEvent(*item["note"]),
-            rule_set=frozenset(Rule(name) for name in item["rules"]),
-            attempts=item["attempts"],
-        )
-        for item in payload
-    ]
+    return _load_json(path, _amended_from_obj)
+
+
+def _amended_from_obj(payload) -> list[AmendedPair]:
+    if not isinstance(payload, list):
+        raise InputFormatError(f"top level: expected a list of amended pairs, "
+                               f"got {type(payload).__name__}")
+    pairs = []
+    for i, item in enumerate(payload):
+        where = f"[{i}]"
+        context = _field(item, "context", list, where)
+        rules = _field(item, "rules", list, where)
+        try:
+            rule_set = frozenset(Rule(name) for name in rules)
+        except ValueError as exc:
+            raise InputFormatError(f"{where}.rules: {exc}") from None
+        pairs.append(AmendedPair(
+            context=tuple(_note_from(n, f"{where}.context[{k}]") for k, n in enumerate(context)),
+            note=_note_from(_field(item, "note", list, where), f"{where}.note"),
+            rule_set=rule_set,
+            attempts=_field(item, "attempts", int, where),
+        ))
+    return pairs
 
 
 # --- stages ------------------------------------------------------------------

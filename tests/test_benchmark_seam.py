@@ -1,0 +1,71 @@
+"""The program names the benchmark launcher wraps, and how often it calls them.
+
+``perfbench/launch.py`` wraps functions of ``melogram`` by name to time them.
+A renamed function would silently drop its metrics, and a generation loop
+that calls ``network.forward`` other than once per note would change what
+``network.forward.us_per_call`` means. The launcher is loaded read-only.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from melogram import network, pipeline
+from melogram.grammar import Rule
+from melogram.notes import NoteEvent
+
+from test_pipeline import tiny_config
+
+LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
+
+
+@pytest.fixture(scope="module")
+def launch():
+    spec = importlib.util.spec_from_file_location("perfbench_launch", LAUNCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_exists(launch):
+    for table in (launch.STAGE_FUNCTIONS, launch.LAYER_FUNCTIONS):
+        for short, names in table.items():
+            module = importlib.import_module(f"melogram.{short}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"melogram.{short}.{name}"
+
+
+def test_phase1_arguments_the_launcher_reads():
+    # The launcher records args[1] (seed phrase) and args[3] (rules).
+    names = list(inspect.signature(pipeline.phase1_generate).parameters)
+    assert names[1] == "seed_phrase"
+    assert names[3] == "rules"
+
+
+@pytest.mark.parametrize("phase", ["phase1", "phase2"])
+def test_forward_called_once_per_generated_note(monkeypatch, phase):
+    cfg = tiny_config()
+    params = network.init_params(cfg.vocab.dim, cfg.hidden_size, network.make_rng(0))
+    seed_phrase = [NoteEvent(60 + k, 4) for k in range(cfg.window)]
+    calls = []
+    forward = network.forward
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(network, "forward", counted)
+    rng = network.make_rng(1)
+    if phase == "phase1":
+        notes, _ = pipeline.phase1_generate(
+            params, seed_phrase, 37, frozenset({Rule.DIA}), cfg, rng
+        )
+    else:
+        notes = pipeline.phase2_generate(params, seed_phrase, 37, cfg, rng)
+    assert len(notes) == 37
+    assert len(calls) == 37

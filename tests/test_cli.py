@@ -317,6 +317,32 @@ class TestConfigHandling:
                          "--run-dir", str(tmp_path / "run")])
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"piece": []}', "missing field 'pieces'"),
+        ('{"pieces": [{"notes": 5}]}', "pieces[0].notes"),
+    ])
+    def test_corpus_schema_error_is_parse_error(self, tmp_path, caplog, text, field):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(text)
+        code = cli.main(["train", "--corpus", str(corpus), "--run-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_PARSE
+        assert f"{corpus}: " in caplog.text
+        assert field in caplog.text
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_training_stops_without_weights(self, tmp_path, caplog):
+        config = json.loads(tiny_config_file(tmp_path).read_text())
+        config["training"]["learning_rate"] = 1e308  # the first update overflows
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        code = cli.main(["train", "--corpus", str(write_corpus(tmp_path)),
+                         "--config", str(path), "--run-dir", str(run_dir)])
+        assert code == cli.EXIT_VALIDATION
+        assert "training diverged: epoch 1" in caplog.text
+        assert not (run_dir / "weights" / "orig.wts").exists()
+
     def test_malformed_midi_is_parse_error(self, tmp_path):
         midi_dir = tmp_path / "midi"
         midi_dir.mkdir()

@@ -161,6 +161,15 @@ class TestSampleIndex:
         assert np.abs(freq - probs).max() < 0.02
 
 
+    @pytest.mark.parametrize("probs", [
+        np.full(5, np.nan), np.zeros(5), np.array([0.5, np.inf, 0.5]),
+    ], ids=["nan", "zero", "inf"])
+    def test_mass_not_finite_and_positive_raises(self, probs):
+        # A diverged model gives NaN probabilities; they must not pick a slot.
+        with pytest.raises(ValueError, match="total mass"):
+            sample_index(probs, np.random.default_rng(0))
+
+
 class TestFoldPitch:
     def test_in_range_untouched(self):
         assert fold_pitch(60, VOCAB) == 60

@@ -13,6 +13,7 @@ from melogram.network import (
     LstmState,
     WeightsFormatError,
     WeightsMeta,
+    Window,
     adam_update,
     batch_gradients,
     check_compatible,
@@ -139,6 +140,19 @@ class TestLstmStep:
             assert np.all(np.isfinite(state.C))
 
 
+    def test_stack_of_states_steps_each_row(self):
+        rng = make_rng(12)
+        params = init_params(6, 5, rng)
+        stack = LstmState(C=rng.normal(size=(4, 5)), h=rng.normal(size=(4, 5)))
+        x = rng.normal(size=6)
+        stepped = lstm_step(params, x, stack)
+        assert stepped.C.shape == stepped.h.shape == (4, 5)
+        for k in range(4):
+            row = lstm_step(params, x, LstmState(C=stack.C[k], h=stack.h[k]))
+            assert np.abs(stepped.C[k] - row.C).max() <= 1e-12
+            assert np.abs(stepped.h[k] - row.h).max() <= 1e-12
+
+
 class TestForward:
     def test_zero_params_output_is_bias(self):
         params = zero_params(input_size=6, hidden_size=3)
@@ -157,6 +171,25 @@ class TestForward:
         params = init_params(89, 128, make_rng(0))
         raw = forward(params, np.zeros((7, 89)))
         assert raw.shape == (89,)
+
+    def test_window_bank_matches_one_shot_along_stream(self):
+        # A stream of 500 one-hot notes, read seven at a time through one
+        # bank; every 100 notes the stream jumps, so the bank starts over.
+        rng = make_rng(8)
+        params = init_params(89, 128, rng)
+        stream = np.zeros((506, 89))
+        stream[np.arange(506), rng.integers(0, 59, 506)] = 1.0
+        stream[np.arange(506), 59 + rng.integers(0, 30, 506)] = 1.0
+        bank = Window(7)
+        for t in range(500):
+            context = stream[t : t + 7] if t % 100 else rng.permutation(stream[t : t + 7])
+            banked = forward(params, context, bank)
+            assert np.abs(banked - forward(params, context)).max() <= 1e-12
+
+    def test_window_bank_refuses_other_context_length(self):
+        params = init_params(6, 4, make_rng(0))
+        with pytest.raises(ValueError, match="window bank holds 7"):
+            forward(params, np.zeros((5, 6)), Window(7))
 
 
 class TestLoss:
@@ -296,6 +329,14 @@ class TestFit:
         trained, trace = fit(params, X, yp, yd, 8, epochs=0, batch_size=8, rng=make_rng(3))
         assert trace == []
         assert max_relative_error(trained, snapshot) == 0.0
+
+    def test_non_finite_loss_names_the_epoch(self):
+        rng = make_rng(2)
+        params = init_params(12, 6, rng)
+        X, yp, yd = self._toy_data(rng)
+        params.V[0, 0] = np.nan
+        with pytest.raises(ValueError, match="epoch 1 loss is nan"):
+            fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(3))
 
     def test_same_seed_gives_identical_traces(self):
         rng = make_rng(5)

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from melogram import grammar, network, pipeline
-from melogram.encoding import NoteVocabulary, note_indices
+from melogram.encoding import (
+    NoteVocabulary,
+    encode_note,
+    note_indices,
+    sample_index,
+    split_distribution,
+)
 from melogram.grammar import AmendedPair, Rule
 from melogram.notes import NoteEvent
 
@@ -248,6 +254,62 @@ class TestPhase2Generate:
         assert a == b
 
 
+def one_shot_generate(params, seed_phrase, n, cfg, rng, rules=None):
+    """Reference generation: each note from a one-shot forward over the last W notes.
+
+    Free sampling when ``rules`` is None, else rule-filtered sampling that
+    also returns the amended pairs, as ``phase1_generate`` does.
+    """
+    notes = list(seed_phrase)
+    pairs = []
+    for _ in range(n):
+        context = notes[-cfg.window :]
+        raw = network.forward(params, np.stack([encode_note(x, cfg.vocab) for x in context]))
+        pitch_dist, dur_dist = split_distribution(raw, cfg.vocab)
+        if rules is None:
+            note = NoteEvent(cfg.vocab.pitch_lo + sample_index(pitch_dist, rng),
+                             cfg.vocab.durations[sample_index(dur_dist, rng)])
+        else:
+            note, attempts, amended = grammar.constrained_sample(
+                pitch_dist, dur_dist, notes, rules, cfg.vocab, rng, cap=cfg.resample_cap
+            )
+            if amended:
+                pairs.append(AmendedPair(context=tuple(context), note=note,
+                                         rule_set=rules, attempts=attempts))
+        notes.append(note)
+    return notes[cfg.window :], pairs
+
+
+class TestGenerationMatchesOneShotLoop:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        cfg = tiny_config(epochs=2)
+        corpus = tiny_corpus(cfg)
+        params, _ = pipeline.train_orig(corpus, cfg)
+        return cfg, params, pipeline.default_seed_phrase(corpus, cfg)
+
+    def test_phase2_same_notes(self, trained):
+        cfg, params, seed_phrase = trained
+        notes = pipeline.phase2_generate(params, seed_phrase, 300, cfg, network.make_rng(11))
+        expected, _ = one_shot_generate(params, seed_phrase, 300, cfg, network.make_rng(11))
+        assert notes == expected
+
+    @pytest.mark.parametrize("rules", [
+        frozenset({Rule.DIA}), frozenset({Rule.TRI}), frozenset(Rule),
+    ], ids=["dia", "tri", "all"])
+    def test_phase1_same_notes_and_pairs(self, trained, rules):
+        cfg, params, seed_phrase = trained
+        notes, pairs = pipeline.phase1_generate(
+            params, seed_phrase, 300, rules, cfg, network.make_rng(12)
+        )
+        expected_notes, expected_pairs = one_shot_generate(
+            params, seed_phrase, 300, cfg, network.make_rng(12), rules
+        )
+        assert expected_pairs, "the comparison needs amended pairs"
+        assert notes == expected_notes
+        assert pairs == expected_pairs
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     cfg = tiny_config()
@@ -331,3 +393,34 @@ class TestCorpusSerialization:
         assert compute_spi(melody.notes) > 5.0
         _, p_tri = compute_p_tri(melody.notes)
         assert p_tri < 5.0
+
+
+class TestInputSchemas:
+    @pytest.mark.parametrize("loader, text, where", [
+        (pipeline.load_corpus, '{"piece": []}', "missing field 'pieces'"),
+        (pipeline.load_corpus, '{"pieces": [{"notes": 5}]}', "pieces[0].notes: expected list"),
+        (pipeline.load_corpus, '{"pieces": [{"notes": [[60, 4], [60]]}]}', "pieces[0].notes[1]"),
+        (pipeline.load_corpus, '{"pieces": [[]]}', "pieces[0]: expected an object"),
+        (pipeline.load_melody, '{"notes": [[60, 4], [300, 4]]}', "notes[1]: pitch 300"),
+        (pipeline.load_melody, '{"notes": [], "source_key": {"tonic": 3}}',
+         "source_key: missing field 'mode'"),
+        (pipeline.load_melody, '{"notes": [[60, 4]', "not valid JSON"),
+        (pipeline.load_amended, '{"context": []}', "top level: expected a list"),
+        (pipeline.load_amended,
+         '[{"context": [[60, 4]], "note": [61], "rules": ["dia"], "attempts": 2}]',
+         "[0].note: expected a [pitch, duration] pair"),
+        (pipeline.load_amended,
+         '[{"context": [[60, 4]], "note": [61, 4], "rules": ["foo"], "attempts": 2}]',
+         "[0].rules"),
+        (pipeline.load_amended, '[{"context": [[60, 4]], "note": [61, 4], "rules": []}]',
+         "[0]: missing field 'attempts'"),
+    ], ids=["corpus-no-pieces", "corpus-notes-int", "corpus-short-note", "corpus-piece-list",
+            "melody-pitch", "melody-key", "melody-json", "amended-object", "amended-note",
+            "amended-rule", "amended-attempts"])
+    def test_schema_error_names_file_and_field(self, tmp_path, loader, text, where):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        with pytest.raises(pipeline.InputFormatError) as info:
+            loader(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert where in str(info.value)
