@@ -266,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
             json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_PARSE
+    except pipeline.CorpusNoteError as exc:
+        log.error("%s: %s", args.corpus, exc)
+        return EXIT_VALIDATION
     except (ValueError, network.WeightsFormatError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION

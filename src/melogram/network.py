@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 PARAM_FIELDS = (
     "W_i", "W_o", "W_f", "W_c",
@@ -34,6 +33,17 @@ WEIGHTS_VERSION = 1
 
 class WeightsFormatError(ValueError):
     """Weights file is malformed or does not match the expected dimensions."""
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function in its tanh form, ``0.5 * (1 + tanh(z / 2))``.
+
+    It is exactly 0.5 at 0, monotone and within 2.3e-16 of the exact
+    logistic over [-40, 40]. From z = -38 down it returns exactly 0, where
+    the exact value is 3e-17 or less (1e-17 at -39): ``1 + tanh(z / 2)``
+    rounds to 0 there.
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def make_rng(*seed_parts: int) -> np.random.Generator:
@@ -388,7 +398,9 @@ def fit(
     The last partial batch is trained rather than dropped. Training stops at
     the epoch cap or once the best epoch loss has failed to improve by more
     than ``plateau_threshold`` for ``plateau_patience`` consecutive epochs.
-    An epoch loss that is not finite raises ``ValueError`` naming the epoch.
+    An epoch loss that is not finite raises ``ValueError`` naming the epoch;
+    the overflow and invalid-value warnings numpy would print on the way
+    there are silenced, so that error is the only report of a divergence.
 
     The returned params are those at the end of the best epoch, the one that
     last lowered the best loss by more than ``plateau_threshold``: Adam's loss
@@ -411,15 +423,16 @@ def fit(
     for _ in range(epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            grads, batch_loss = batch_gradients(
-                params, contexts[batch], pitch_targets[batch], dur_targets[batch],
-                pitch_dim,
-            )
-            clip_gradients(grads, clip_norm)
-            adam_update(params, grads, adam)
-            total += batch_loss * len(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, batch_size):
+                batch = order[start : start + batch_size]
+                grads, batch_loss = batch_gradients(
+                    params, contexts[batch], pitch_targets[batch], dur_targets[batch],
+                    pitch_dim,
+                )
+                clip_gradients(grads, clip_norm)
+                adam_update(params, grads, adam)
+                total += batch_loss * len(batch)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise ValueError(f"training diverged: epoch {len(trace) + 1} loss is {epoch_loss}")

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import grammar, metrics, midi, network
 from .encoding import (
+    EncodingError,
     NoteVocabulary,
     TrainingExample,
     default_vocabulary,
@@ -169,11 +170,23 @@ def _reject_unknown(data: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
+class CorpusNoteError(EncodingError):
+    """A corpus note outside the vocabulary, located as ``pieces[i].notes[j]``."""
+
+
 def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> list[TrainingExample]:
-    """Training windows over every piece; windows never cross pieces."""
+    """Training windows over every piece; windows never cross pieces.
+
+    A note outside the vocabulary raises ``CorpusNoteError`` naming its piece
+    and note index.
+    """
     examples: list[TrainingExample] = []
-    for melody in corpus:
-        examples.extend(make_training_windows(melody, cfg.window, cfg.vocab))
+    for piece, melody in enumerate(corpus):
+        try:
+            examples.extend(make_training_windows(melody, cfg.window, cfg.vocab))
+        except EncodingError as exc:
+            note = next(j for j, n in enumerate(melody.notes) if not cfg.vocab.contains(n))
+            raise CorpusNoteError(f"pieces[{piece}].notes[{note}]: {exc}") from None
     if not examples:
         raise ValueError(
             f"corpus yields no training windows: every piece needs more than "

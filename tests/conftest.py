@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from melogram.encoding import NoteVocabulary, default_vocabulary
 from melogram.notes import Melody, NoteEvent
@@ -69,3 +70,14 @@ def walk_melody(
         duration = int(vocab.durations[rng.integers(0, min(6, vocab.duration_count))])
         notes.append(NoteEvent(pitch, duration))
     return Melody(notes=notes)
+
+
+@st.composite
+def damaged(draw, valid_files) -> bytes:
+    """One of ``valid_files`` cut short at some byte, or with one to three bits flipped."""
+    data = bytearray(draw(st.sampled_from(valid_files)))
+    if draw(st.booleans()):
+        return bytes(data[: draw(st.integers(0, len(data) - 1))])
+    for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1), min_size=1, max_size=3)):
+        data[bit // 8] ^= 1 << (bit % 8)
+    return bytes(data)

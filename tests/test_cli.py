@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,32 @@ class TestConfigHandling:
         assert code == cli.EXIT_VALIDATION
         assert "training diverged: epoch 1" in caplog.text
         assert not (run_dir / "weights" / "orig.wts").exists()
+
+    def test_diverged_training_prints_no_numpy_warnings(self, tmp_path, caplog):
+        config = json.loads(tiny_config_file(tmp_path).read_text())
+        config["training"]["learning_rate"] = 1e308
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["train", "--corpus", str(write_corpus(tmp_path)),
+                             "--config", str(path), "--run-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_VALIDATION
+        assert "training diverged: epoch 1" in caplog.text
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command", ["train", "retrain", "run-all"])
+    def test_out_of_vocabulary_note_is_located(self, tmp_path, caplog, command):
+        corpus = write_corpus(tmp_path)
+        payload = json.loads(corpus.read_text())
+        payload["pieces"][1]["notes"][10] = [100, 2]
+        corpus.write_text(json.dumps(payload))
+        code = cli.main([command, "--corpus", str(corpus),
+                         "--config", str(tiny_config_file(tmp_path)),
+                         "--run-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_VALIDATION
+        assert (f"{corpus}: pieces[1].notes[10]: pitch 100 outside vocabulary range 55..79"
+                in caplog.text)
 
     def test_malformed_midi_is_parse_error(self, tmp_path):
         midi_dir = tmp_path / "midi"

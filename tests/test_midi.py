@@ -26,6 +26,8 @@ from melogram.midi import (
 )
 from melogram.notes import Key, Melody, NoteEvent
 
+from conftest import damaged
+
 VOCAB = default_vocabulary()
 
 
@@ -326,3 +328,23 @@ class TestWriteMidi:
             extract_melody(parsed.merged_events()), parsed.division, VOCAB
         )
         assert melody.notes == notes
+
+
+class TestHostileBytes:
+    VALID = (
+        write_midi(Melody(notes=[NoteEvent(60 + i % 12, 1 + i % 8) for i in range(12)])),
+        smf([(0, bytes([0xFF, 0x59, 0x02, 0x02, 0x00])), (0, on(62)), (240, off(62)),
+             (0, on(66)), (120, bytes([66, 0])), (0, bytes([0xC0, 5]))], fmt=1),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda tail: b"MThd" + (6).to_bytes(4, "big") + tail),
+        damaged(VALID),
+    ))
+    def test_only_parse_error_escapes(self, data):
+        try:
+            parse_midi(data)
+        except MidiParseError:
+            pass

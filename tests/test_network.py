@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import melogram
 from melogram import network as nw
 from melogram.network import (
     LstmParams,
@@ -27,9 +34,12 @@ from melogram.network import (
     lstm_step,
     make_rng,
     save_weights,
+    sigmoid,
     zero_state,
     zeros_like_params,
 )
+
+from conftest import damaged
 
 
 def finite_difference_grads(params, X, yp, yd, pitch_dim, eps=1e-5):
@@ -402,6 +412,45 @@ class TestFit:
             assert arr.tobytes() == getattr(reference, name).tobytes(), name
 
 
+class TestSigmoid:
+    def test_half_at_zero_bounded_and_monotone(self):
+        assert sigmoid(np.float64(0.0)) == 0.5
+        z = np.linspace(-800.0, 800.0, 200_001)
+        s = sigmoid(z)
+        assert s.min() >= 0.0 and s.max() <= 1.0
+        assert np.all(np.diff(s) >= 0.0)
+        assert sigmoid(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
+    def test_exactly_zero_from_minus_38_down(self):
+        # The exact logistic is 3e-17 at -38 and 1e-17 at -39.
+        z = np.concatenate([np.linspace(-38.0, -40.0, 1001), [-100.0, -745.0, -1e300]])
+        assert np.all(sigmoid(z) == 0.0)
+        assert sigmoid(np.float64(-37.9)) > 0.0
+
+    def test_matches_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        z = np.linspace(-40.0, 40.0, 800_001)
+        assert np.abs(sigmoid(z) - expit(z)).max() <= 2.3e-16
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(melogram.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        probe = ("import sys, melogram.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def weights_bytes(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("weights") / "model.wts"
+    save_weights(path, init_params(5, 2, make_rng(12)),
+                 WeightsMeta(pitch_count=3, duration_count=2, hidden_size=2, window=7))
+    return path.read_bytes()
+
+
 class TestWeightsFile:
     def test_round_trip(self, tmp_path):
         params = init_params(17, 5, make_rng(12))
@@ -469,3 +518,18 @@ class TestWeightsFile:
         with pytest.raises(WeightsFormatError, match="128.*64"):
             check_compatible(meta, hidden_size=64)
         check_compatible(meta, hidden_size=128, window=7)  # no error
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_only_format_error_escapes(self, weights_bytes, tmp_path_factory, data):
+        blob = data.draw(st.one_of(
+            st.binary(max_size=400),
+            st.binary(max_size=400).map(lambda tail: nw.WEIGHTS_MAGIC + tail),
+            damaged([weights_bytes]),
+        ))
+        path = tmp_path_factory.getbasetemp() / "hostile.wts"
+        path.write_bytes(blob)
+        try:
+            load_weights(path)
+        except WeightsFormatError:
+            pass
