@@ -3,7 +3,9 @@
 Each note becomes a single binary vector of length P + D: a pitch segment
 with one hot bit among P semitone slots, concatenated with a duration
 segment with one hot bit among D duration-table slots. Model outputs over
-the same layout are normalized per segment before sampling.
+the same layout are normalized per segment before sampling. Training data keeps
+each note as its (pitch slot, duration slot) pair and becomes vectors one
+mini-batch at a time.
 """
 
 from __future__ import annotations
@@ -170,47 +172,39 @@ def fold_pitch(pitch: int, vocab: NoteVocabulary) -> int:
     return fold_octaves(pitch, vocab.pitch_lo, vocab.pitch_hi)
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    """A fixed-length encoded context and the index pair of the next note."""
-
-    context: np.ndarray  # shape (W, P + D)
-    target: tuple[int, int]  # (pitch slot, duration slot)
-
-
 def make_training_windows(
     melody: Melody, window: int, vocab: NoteVocabulary
-) -> list[TrainingExample]:
+) -> np.ndarray:
     """Slide a next-note prediction window over one melody.
 
-    Produces one example per position from ``window`` to the end; a melody
-    shorter than ``window + 1`` notes yields no examples. Windows never
-    cross melody boundaries because each melody is processed on its own.
+    Returns an int16 array of shape (N, window + 1, 2): row k holds the
+    (pitch slot, duration slot) pairs of notes k .. k + window, the context
+    then the target. Every note is encoded, so a note outside the vocabulary
+    raises ``EncodingError`` even in a melody shorter than ``window + 1``
+    notes, which yields no rows. Windows never cross melody boundaries
+    because each melody is processed on its own.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    n = len(melody.notes)
-    if n < window + 1:
-        return []
-    encoded = np.stack([encode_note(note, vocab) for note in melody.notes])
-    examples = []
-    for i in range(window, n):
-        examples.append(
-            TrainingExample(
-                context=encoded[i - window : i].copy(),
-                target=note_indices(melody.notes[i], vocab),
-            )
-        )
-    return examples
+    slots = np.array(
+        [note_indices(note, vocab) for note in melody.notes], dtype=np.int16
+    ).reshape(-1, 2)
+    starts = np.arange(len(slots) - window)
+    return slots[starts[:, None] + np.arange(window + 1)]
 
 
 def stack_examples(
-    examples: list[TrainingExample],
+    windows: np.ndarray, vocab: NoteVocabulary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack examples into (contexts, pitch targets, duration targets) arrays."""
-    if not examples:
+    """Split windows into (contexts, pitch targets, duration targets) arrays.
+
+    ``contexts`` is (N, W, 2) int16: the two hot columns of each context
+    note's ``encode_note`` vector, its pitch slot and P plus its duration
+    slot. The targets are int64 slot indices.
+    """
+    if not len(windows):
         raise ValueError("no training examples to stack")
-    contexts = np.stack([ex.context for ex in examples])
-    pitch_targets = np.array([ex.target[0] for ex in examples], dtype=np.int64)
-    dur_targets = np.array([ex.target[1] for ex in examples], dtype=np.int64)
+    contexts = windows[:, :-1] + np.array([0, vocab.pitch_count], dtype=np.int16)
+    pitch_targets = windows[:, -1, 0].astype(np.int64)
+    dur_targets = windows[:, -1, 1].astype(np.int64)
     return contexts, pitch_targets, dur_targets

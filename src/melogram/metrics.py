@@ -160,11 +160,6 @@ def report_to_json(reports: Mapping[str, MetricsReport]) -> str:
     return json.dumps(ordered, indent=2)
 
 
-def report_from_json(text: str) -> dict[str, MetricsReport]:
-    loaded = json.loads(text)
-    return {mode: MetricsReport(**fields) for mode, fields in loaded.items()}
-
-
 def report_table(reports: Mapping[str, MetricsReport]) -> str:
     """Aligned plain-text comparison table, one column per mode."""
     columns = _column_order(reports)

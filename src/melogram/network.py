@@ -102,10 +102,6 @@ class LstmState:
     h: np.ndarray
 
 
-def zero_state(hidden_size: int) -> LstmState:
-    return LstmState(C=np.zeros(hidden_size), h=np.zeros(hidden_size))
-
-
 def zeros_like_params(params: LstmParams) -> LstmParams:
     return LstmParams(**{name: np.zeros_like(arr) for name, arr in params.tensors()})
 
@@ -234,6 +230,16 @@ def loss(raw: np.ndarray, target: tuple[int, int], pitch_dim: int) -> float:
     lsp = _log_softmax(raw[:pitch_dim])
     lsd = _log_softmax(raw[pitch_dim:])
     return float(-(lsp[target[0]] + lsd[target[1]]))
+
+
+def one_hot(columns: np.ndarray, size: int) -> np.ndarray:
+    """Dense float64 array of shape (..., size) with a 1 at each given column.
+
+    ``columns`` is (..., K) integer: the K hot columns of every row.
+    """
+    dense = np.zeros(columns.shape[:-1] + (size,))
+    np.put_along_axis(dense, columns, 1.0, axis=-1)
+    return dense
 
 
 def batch_gradients(
@@ -395,6 +401,9 @@ def fit(
 ) -> tuple[LstmParams, list[float]]:
     """Train in shuffled mini-batches; returns the params and per-epoch losses.
 
+    ``contexts`` is (N, W, K) integer hot columns (see ``one_hot``); each
+    mini-batch is expanded to dense (B, W, E) inputs only for its gradient.
+
     The last partial batch is trained rather than dropped. Training stops at
     the epoch cap or once the best epoch loss has failed to improve by more
     than ``plateau_threshold`` for ``plateau_patience`` consecutive epochs.
@@ -427,8 +436,8 @@ def fit(
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
                 grads, batch_loss = batch_gradients(
-                    params, contexts[batch], pitch_targets[batch], dur_targets[batch],
-                    pitch_dim,
+                    params, one_hot(contexts[batch], params.input_size),
+                    pitch_targets[batch], dur_targets[batch], pitch_dim,
                 )
                 clip_gradients(grads, clip_norm)
                 adam_update(params, grads, adam)

@@ -26,7 +26,6 @@ from . import grammar, metrics, midi, network
 from .encoding import (
     EncodingError,
     NoteVocabulary,
-    TrainingExample,
     default_vocabulary,
     encode_note,
     fold_pitch,
@@ -174,29 +173,30 @@ class CorpusNoteError(EncodingError):
     """A corpus note outside the vocabulary, located as ``pieces[i].notes[j]``."""
 
 
-def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> list[TrainingExample]:
-    """Training windows over every piece; windows never cross pieces.
+def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> np.ndarray:
+    """Training windows over every piece, in order; windows never cross pieces.
 
-    A note outside the vocabulary raises ``CorpusNoteError`` naming its piece
-    and note index.
+    Returns the (N, window + 1, 2) int16 slot pairs of ``make_training_windows``.
+    A note outside the vocabulary, in any piece however short, raises
+    ``CorpusNoteError`` naming its piece and note index.
     """
-    examples: list[TrainingExample] = []
+    windows = []
     for piece, melody in enumerate(corpus):
         try:
-            examples.extend(make_training_windows(melody, cfg.window, cfg.vocab))
+            windows.append(make_training_windows(melody, cfg.window, cfg.vocab))
         except EncodingError as exc:
             note = next(j for j, n in enumerate(melody.notes) if not cfg.vocab.contains(n))
             raise CorpusNoteError(f"pieces[{piece}].notes[{note}]: {exc}") from None
-    if not examples:
+    if not sum(map(len, windows)):
         raise ValueError(
             f"corpus yields no training windows: every piece needs more than "
             f"{cfg.window} notes"
         )
-    return examples
+    return np.concatenate(windows)
 
 
 def train_on_examples(
-    examples: list[TrainingExample],
+    windows: np.ndarray,
     cfg: RunConfig,
     warm_from: network.LstmParams | None = None,
 ) -> tuple[network.LstmParams, list[float]]:
@@ -205,9 +205,7 @@ def train_on_examples(
     Returns the weights of the best epoch (see ``network.fit``) and the loss
     trace of every epoch run, so the trace may end past the best epoch.
     """
-    if not examples:
-        raise ValueError("no training examples")
-    contexts, pitch_targets, dur_targets = stack_examples(examples)
+    contexts, pitch_targets, dur_targets = stack_examples(windows, cfg.vocab)
     if warm_from is not None:
         params = warm_from.copy()
     else:
@@ -309,31 +307,30 @@ def phase2_generate(
 
 
 def build_augmented_dataset(
-    orig_examples: list[TrainingExample],
+    orig_windows: np.ndarray,
     amended: list[AmendedPair],
     cfg: RunConfig,
-) -> list[TrainingExample]:
-    """Original windows first, then one example per amended pair in order."""
-    examples = list(orig_examples)
+) -> np.ndarray:
+    """Original windows first, then one window per amended pair in order.
+
+    An amended pair's window is its context followed by its replacement note.
+    """
     for pair in amended:
         if len(pair.context) != cfg.window:
             raise ValueError(
                 f"amended context has {len(pair.context)} notes, expected {cfg.window}"
             )
-        context = np.stack([encode_note(note, cfg.vocab) for note in pair.context])
-        examples.append(
-            TrainingExample(context=context, target=note_indices(pair.note, cfg.vocab))
-        )
-    return examples
+    pairs = [[note_indices(note, cfg.vocab) for note in (*pair.context, pair.note)]
+             for pair in amended]
+    return np.concatenate(
+        (orig_windows, np.array(pairs, dtype=np.int16).reshape(-1, cfg.window + 1, 2))
+    )
 
 
-def dataset_fingerprint(examples: list[TrainingExample]) -> str:
-    """Order-sensitive SHA-256 over the packed example bytes."""
-    digest = hashlib.sha256()
-    digest.update(struct.pack("<Q", len(examples)))
-    for ex in examples:
-        digest.update(np.ascontiguousarray(ex.context, dtype="<f8").tobytes())
-        digest.update(struct.pack("<2Q", *ex.target))
+def dataset_fingerprint(windows: np.ndarray) -> str:
+    """Order-sensitive SHA-256 of the window count and the little-endian int16 slot pairs."""
+    digest = hashlib.sha256(struct.pack("<Q", len(windows)))
+    digest.update(np.ascontiguousarray(windows, dtype="<i2").tobytes())
     return digest.hexdigest()
 
 
@@ -540,9 +537,9 @@ def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: b
 
 def train(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     """Train ``orig`` on the corpus windows into ``weights/orig.wts``."""
-    examples = corpus_windows(corpus, cfg)
-    params, trace = train_on_examples(examples, cfg)
-    entry = _save_mode(run_dir, "orig", params, trace, examples, cfg)
+    windows = corpus_windows(corpus, cfg)
+    params, trace = train_on_examples(windows, cfg)
+    entry = _save_mode(run_dir, "orig", params, trace, windows, cfg)
     update_manifest(run_dir, {
         "config": config_to_dict(cfg),
         "corpus": {
@@ -602,7 +599,7 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     under ``mix_conjunction_filter``. With ``warm_start_retrain`` every
     retrain starts from the ``orig`` weights instead of a fresh init.
     """
-    orig_examples = corpus_windows(corpus, cfg)
+    orig_windows = corpus_windows(corpus, cfg)
     amended = {
         rule.value: load_amended(run_dir / "amended" / f"{rule.value}.json")
         for rule in RULE_ORDER
@@ -615,7 +612,7 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
 
     modes = {}
     for mode in MODES[1:]:
-        dataset = build_augmented_dataset(orig_examples, amended[mode], cfg)
+        dataset = build_augmented_dataset(orig_windows, amended[mode], cfg)
         params, trace = train_on_examples(dataset, cfg, warm_from=warm)
         modes[mode] = _save_mode(run_dir, mode, params, trace, dataset, cfg)
     update_manifest(run_dir, {"modes": modes})
@@ -733,7 +730,7 @@ def load_checked_weights(run_dir: Path, mode: str, cfg: RunConfig) -> network.Ls
 
 
 def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list[float],
-               dataset: list[TrainingExample], cfg: RunConfig) -> dict:
+               dataset: np.ndarray, cfg: RunConfig) -> dict:
     """Save one weight set and return its manifest entry."""
     path = run_dir / "weights" / f"{mode}.wts"
     path.parent.mkdir(parents=True, exist_ok=True)

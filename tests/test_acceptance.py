@@ -65,7 +65,7 @@ class TestMemorizationOracle:
         start = time.time()
         vocab = default_vocabulary()
         melody = random_melody(network.make_rng(42), vocab, 100)
-        X, yp, yd = stack_examples(make_training_windows(melody, 7, vocab))
+        X, yp, yd = stack_examples(make_training_windows(melody, 7, vocab), vocab)
         params = network.init_params(vocab.dim, 32, network.make_rng(1))
         # The published learning rate (0.001) needs well over 300 epochs to
         # memorize 93 windows; a 10x rate overfits fast, which is the point

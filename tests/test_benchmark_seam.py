@@ -13,13 +13,14 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from melogram import network, pipeline
+from melogram import encoding, network, pipeline
 from melogram.grammar import Rule
 from melogram.notes import NoteEvent
 
-from test_pipeline import tiny_config
+from test_pipeline import tiny_config, tiny_corpus
 
 LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
 
@@ -38,6 +39,17 @@ def test_every_wrapped_name_exists(launch):
             module = importlib.import_module(f"melogram.{short}")
             for name in names:
                 assert callable(getattr(module, name, None)), f"melogram.{short}.{name}"
+
+
+def test_stack_examples_returns_contexts_first():
+    # The launcher's encoding.dataset_bytes counter reads result[0].nbytes:
+    # two int16 hot columns per context note.
+    cfg = tiny_config()
+    windows = pipeline.corpus_windows(tiny_corpus(cfg), cfg)
+    result = encoding.stack_examples(windows, cfg.vocab)
+    assert isinstance(result[0], np.ndarray)
+    assert result[0].shape == (len(windows), cfg.window, 2)
+    assert result[0].nbytes == len(windows) * cfg.window * 2 * 2
 
 
 def test_phase1_arguments_the_launcher_reads():

@@ -357,17 +357,26 @@ class TestConfigHandling:
         assert "training diverged: epoch 1" in caplog.text
         assert [str(w.message) for w in caught] == []
 
-    @pytest.mark.parametrize("command", ["train", "retrain", "run-all"])
-    def test_out_of_vocabulary_note_is_located(self, tmp_path, caplog, command):
+    @pytest.mark.parametrize("command, short_piece", [
+        pytest.param(command, short_piece, id=command + ("-short-piece" if short_piece else ""))
+        for short_piece in (False, True) for command in ("train", "retrain", "run-all")
+    ])
+    def test_out_of_vocabulary_note_is_located(self, tmp_path, caplog, command, short_piece):
         corpus = write_corpus(tmp_path)
         payload = json.loads(corpus.read_text())
-        payload["pieces"][1]["notes"][10] = [100, 2]
+        if short_piece:
+            # Three notes make no training window, and are checked all the same.
+            payload["pieces"].append({"notes": [[60, 2], [100, 3], [62, 2]]})
+            where = "pieces[3].notes[1]"
+        else:
+            payload["pieces"][1]["notes"][10] = [100, 2]
+            where = "pieces[1].notes[10]"
         corpus.write_text(json.dumps(payload))
         code = cli.main([command, "--corpus", str(corpus),
                          "--config", str(tiny_config_file(tmp_path)),
                          "--run-dir", str(tmp_path / "run")])
         assert code == cli.EXIT_VALIDATION
-        assert (f"{corpus}: pieces[1].notes[10]: pitch 100 outside vocabulary range 55..79"
+        assert (f"{corpus}: {where}: pitch 100 outside vocabulary range 55..79"
                 in caplog.text)
 
     def test_malformed_midi_is_parse_error(self, tmp_path):

@@ -20,6 +20,7 @@ from melogram.encoding import (
     split_distribution,
     stack_examples,
 )
+from melogram.network import one_hot
 from melogram.notes import Melody, NoteEvent
 
 VOCAB = default_vocabulary()
@@ -190,26 +191,40 @@ class TestMakeTrainingWindows:
     def test_eight_notes_one_example(self):
         assert len(make_training_windows(self._melody(8), 7, VOCAB)) == 1
 
+    def test_windows_are_int16_slot_pairs(self):
+        melody = self._melody(12)
+        windows = make_training_windows(melody, 7, VOCAB)
+        assert windows.dtype == np.int16
+        assert windows.shape == (5, 8, 2)
+        for k, window in enumerate(windows):
+            assert [tuple(pair) for pair in window] == [
+                note_indices(note, VOCAB) for note in melody.notes[k : k + 8]
+            ]
+
     def test_ten_notes_three_examples_with_targets(self):
         melody = self._melody(10)
-        examples = make_training_windows(melody, 7, VOCAB)
-        assert len(examples) == 3
-        for i, ex in enumerate(examples):
-            assert ex.context.shape == (7, VOCAB.dim)
+        windows = make_training_windows(melody, 7, VOCAB)
+        assert len(windows) == 3
+        contexts, yp, yd = stack_examples(windows, VOCAB)
+        dense = one_hot(contexts, VOCAB.dim)
+        for i in range(3):
+            assert dense[i].shape == (7, VOCAB.dim)
             expected_target = note_indices(melody.notes[7 + i], VOCAB)
-            assert ex.target == expected_target
+            assert (yp[i], yd[i]) == expected_target
             for j in range(7):
-                assert decode_note(ex.context[j], VOCAB) == melody.notes[i + j]
+                assert decode_note(dense[i, j], VOCAB) == melody.notes[i + j]
 
     def test_window_boundary_yields_nothing(self):
-        assert make_training_windows(self._melody(7), 7, VOCAB) == []
+        windows = make_training_windows(self._melody(7), 7, VOCAB)
+        assert windows.shape == (0, 8, 2)
 
     def test_stack_examples_shapes(self):
-        examples = make_training_windows(self._melody(12), 7, VOCAB)
-        contexts, yp, yd = stack_examples(examples)
-        assert contexts.shape == (5, 7, VOCAB.dim)
+        windows = make_training_windows(self._melody(12), 7, VOCAB)
+        contexts, yp, yd = stack_examples(windows, VOCAB)
+        assert contexts.shape == (5, 7, 2)
+        assert one_hot(contexts, VOCAB.dim).shape == (5, 7, VOCAB.dim)
         assert yp.shape == (5,) and yd.shape == (5,)
 
     def test_stack_empty_rejected(self):
         with pytest.raises(ValueError):
-            stack_examples([])
+            stack_examples(make_training_windows(self._melody(7), 7, VOCAB), VOCAB)

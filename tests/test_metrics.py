@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from melogram.metrics import (
     compute_spi,
     evaluate,
     evaluate_many,
-    report_from_json,
     report_table,
     report_to_json,
 )
@@ -219,8 +219,8 @@ class TestReport:
 
     def test_json_round_trip_lossless(self):
         reports = self._reports(["DS", "Orig", "DIA"])
-        parsed = report_from_json(report_to_json(reports))
-        assert parsed == reports
+        parsed = json.loads(report_to_json(reports))
+        assert parsed == {mode: asdict(report) for mode, report in reports.items()}
 
     def test_column_ordering(self):
         reports = self._reports(["MIX", "DIA", "DS", "TRI", "Orig", "SPI"])

@@ -33,9 +33,9 @@ from melogram.network import (
     loss,
     lstm_step,
     make_rng,
+    one_hot,
     save_weights,
     sigmoid,
-    zero_state,
     zeros_like_params,
 )
 
@@ -128,7 +128,7 @@ class TestLstmStep:
 
     def test_zero_params_zero_state_fixed_point(self):
         params = zero_params()
-        state = lstm_step(params, np.zeros(4), zero_state(3))
+        state = lstm_step(params, np.zeros(4), LstmState(C=np.zeros(3), h=np.zeros(3)))
         assert np.all(state.C == 0.0)
         assert np.all(state.h == 0.0)
 
@@ -142,7 +142,7 @@ class TestLstmStep:
     def test_hidden_state_bounded_and_gates_open(self):
         rng = make_rng(11)
         params = init_params(6, 5, rng)
-        state = zero_state(5)
+        state = LstmState(C=np.zeros(5), h=np.zeros(5))
         for _ in range(50):
             x = rng.normal(size=6) * 3
             state = lstm_step(params, x, state)
@@ -323,13 +323,36 @@ class TestClipGradients:
 
 class TestFit:
     def _toy_data(self, rng, n=40, E=12, W=3, P=8):
-        X = np.zeros((n, W, E))
+        # One hot column per input vector, (n, W, 1).
+        X = np.zeros((n, W, 1), dtype=np.int64)
         yp = rng.integers(0, P, n)
         yd = rng.integers(0, E - P, n)
         for k in range(n):
             for t in range(W):
-                X[k, t, rng.integers(0, E)] = 1.0
+                X[k, t, 0] = rng.integers(0, E)
         return X, yp, yd
+
+    def test_batches_are_dense_rows_of_the_hot_columns(self, monkeypatch):
+        rng = make_rng(3)
+        X, yp, yd = self._toy_data(rng, n=20)
+        seen = []
+        real = nw.batch_gradients
+
+        def recording(params, contexts, pitch_targets, dur_targets, pitch_dim):
+            seen.append((contexts, pitch_targets, dur_targets))
+            return real(params, contexts, pitch_targets, dur_targets, pitch_dim)
+
+        monkeypatch.setattr(nw, "batch_gradients", recording)
+        fit(init_params(12, 4, rng), X, yp, yd, 8, epochs=1, batch_size=8, rng=make_rng(4))
+        order = make_rng(4).permutation(20)
+        dense = one_hot(X, 12)
+        assert [len(batch[0]) for batch in seen] == [8, 8, 4]
+        for start, (contexts, pitch_targets, dur_targets) in zip((0, 8, 16), seen):
+            rows = order[start : start + 8]
+            assert contexts.dtype == np.float64
+            assert np.array_equal(contexts, dense[rows])
+            assert np.array_equal(pitch_targets, yp[rows])
+            assert np.array_equal(dur_targets, yd[rows])
 
     def test_zero_epochs_is_noop(self):
         rng = make_rng(2)

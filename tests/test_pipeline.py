@@ -14,6 +14,7 @@ from melogram.encoding import (
     note_indices,
     sample_index,
     split_distribution,
+    stack_examples,
 )
 from melogram.grammar import AmendedPair, Rule
 from melogram.notes import NoteEvent
@@ -157,7 +158,34 @@ class TestPhase1Generate:
             )
 
 
+def no_windows(cfg):
+    return np.empty((0, cfg.window + 1, 2), dtype=np.int16)
+
+
 class TestBuildAugmentedDataset:
+    def test_training_inputs_are_encoded_notes(self):
+        # The hot columns fit expands are the vectors generation feeds forward.
+        cfg = tiny_config()
+        corpus = tiny_corpus(cfg)
+        rng = np.random.default_rng(9)
+        pairs = [
+            AmendedPair(
+                context=tuple(random_melody(rng, cfg.vocab, cfg.window).notes),
+                note=NoteEvent(64, 4),
+                rule_set=frozenset({Rule.DIA}),
+                attempts=2,
+            )
+            for _ in range(5)
+        ]
+        contexts = [melody.notes[k : k + cfg.window]
+                    for melody in corpus for k in range(len(melody.notes) - cfg.window)]
+        contexts += [pair.context for pair in pairs]
+        dataset = pipeline.build_augmented_dataset(pipeline.corpus_windows(corpus, cfg), pairs, cfg)
+        columns, _, _ = stack_examples(dataset, cfg.vocab)
+        expected = np.stack([np.stack([encode_note(note, cfg.vocab) for note in context])
+                             for context in contexts])
+        assert np.array_equal(network.one_hot(columns, cfg.vocab.dim), expected)
+
     def test_empty_amendments_identity(self):
         cfg = tiny_config()
         examples = pipeline.corpus_windows(tiny_corpus(cfg), cfg)
@@ -186,8 +214,8 @@ class TestBuildAugmentedDataset:
             rule_set=frozenset({Rule.DIA}),
             attempts=2,
         )
-        (example,) = pipeline.build_augmented_dataset([], [pair], cfg)
-        assert example.target == note_indices(NoteEvent(67, 2), cfg.vocab)
+        (window,) = pipeline.build_augmented_dataset(no_windows(cfg), [pair], cfg)
+        assert tuple(window[-1]) == note_indices(NoteEvent(67, 2), cfg.vocab)
 
     def test_mix_order_is_orig_then_dia_spi_tri(self):
         cfg = tiny_config()
@@ -201,8 +229,8 @@ class TestBuildAugmentedDataset:
             )
 
         dia, spi, tri = pair(60), pair(62), pair(64)
-        mixed = pipeline.build_augmented_dataset([], [dia] + [spi] + [tri], cfg)
-        targets = [ex.target[0] for ex in mixed]
+        mixed = pipeline.build_augmented_dataset(no_windows(cfg), [dia] + [spi] + [tri], cfg)
+        targets = list(mixed[:, -1, 0])
         assert targets == [
             note_indices(NoteEvent(p, 4), cfg.vocab)[0] for p in (60, 62, 64)
         ]
