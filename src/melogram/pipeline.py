@@ -91,6 +91,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not np.isfinite(self.plateau_threshold):
+            raise ValueError("plateau_threshold must be finite")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -601,11 +603,11 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     """
     orig_windows = corpus_windows(corpus, cfg)
     amended = {
-        rule.value: load_amended(run_dir / "amended" / f"{rule.value}.json")
+        rule.value: _load_amended_in_vocabulary(run_dir / "amended" / f"{rule.value}.json", cfg)
         for rule in RULE_ORDER
     }
     if cfg.mix_conjunction_filter:
-        amended["mix"] = load_amended(run_dir / "amended" / "mix.json")
+        amended["mix"] = _load_amended_in_vocabulary(run_dir / "amended" / "mix.json", cfg)
     else:
         amended["mix"] = [pair for rule in RULE_ORDER for pair in amended[rule.value]]
     warm = load_checked_weights(run_dir, "orig", cfg) if cfg.warm_start_retrain else None
@@ -616,6 +618,23 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
         params, trace = train_on_examples(dataset, cfg, warm_from=warm)
         modes[mode] = _save_mode(run_dir, mode, params, trace, dataset, cfg)
     update_manifest(run_dir, {"modes": modes})
+
+
+def _load_amended_in_vocabulary(path: Path, cfg: RunConfig) -> list[AmendedPair]:
+    """``load_amended``, refusing a note outside the vocabulary.
+
+    The ``EncodingError`` names the file and the note's place, ``[i].context[k]``
+    or ``[i].note``.
+    """
+    pairs = load_amended(path)
+    for i, pair in enumerate(pairs):
+        places = [(f"context[{k}]", note) for k, note in enumerate(pair.context)]
+        for where, note in places + [("note", pair.note)]:
+            try:
+                note_indices(note, cfg.vocab)
+            except EncodingError as exc:
+                raise EncodingError(f"{path}: [{i}].{where}: {exc}") from None
+    return pairs
 
 
 def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg: RunConfig,
@@ -735,13 +754,17 @@ def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list
     path = run_dir / "weights" / f"{mode}.wts"
     path.parent.mkdir(parents=True, exist_ok=True)
     network.save_weights(path, params, _weights_meta(cfg))
-    log.info("trained %s on %d examples for %d epochs, final loss %.4f",
-             mode, len(dataset), len(trace), trace[-1])
+    best = network.best_epoch(trace, cfg.plateau_threshold)
+    log.info("trained %s on %d examples for %d epochs, final loss %.4f, "
+             "kept epoch %d (loss %.4f)",
+             mode, len(dataset), len(trace), trace[-1], best, trace[best - 1])
     return {
         "weights": str(path.relative_to(run_dir)),
         "weights_sha256": file_fingerprint(path),
         "dataset_sha256": dataset_fingerprint(dataset),
         "dataset_size": len(dataset),
         "epochs_run": len(trace),
-        "final_loss": trace[-1] if trace else None,
+        "final_loss": trace[-1],
+        "best_epoch": best,
+        "best_loss": trace[best - 1],
     }

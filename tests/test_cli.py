@@ -379,6 +379,24 @@ class TestConfigHandling:
         assert (f"{corpus}: {where}: pitch 100 outside vocabulary range 55..79"
                 in caplog.text)
 
+    @pytest.mark.parametrize("place", ["note", "context[3]"])
+    def test_out_of_vocabulary_amended_note_is_located(self, tmp_path, caplog, place):
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(tmp_path / "run")]
+        assert cli.main(["train", *common]) == 0
+        assert cli.main(["amend", *common]) == 0
+        path = tmp_path / "run" / "amended" / "dia.json"
+        pairs = json.loads(path.read_text())
+        assert pairs
+        if place == "note":
+            pairs[0]["note"] = [100, 8]
+        else:
+            pairs[0]["context"][3] = [100, 8]
+        path.write_text(json.dumps(pairs))
+        assert cli.main(["retrain", *common]) == cli.EXIT_VALIDATION
+        assert (f"{path}: [0].{place}: pitch 100 outside vocabulary range 55..79"
+                in caplog.text)
+
     def test_malformed_midi_is_parse_error(self, tmp_path):
         midi_dir = tmp_path / "midi"
         midi_dir.mkdir()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import melogram
+from melogram import cli
 from melogram import network as nw
 from melogram.network import (
     LstmParams,
@@ -77,9 +79,16 @@ def max_relative_error(a: LstmParams, b: LstmParams) -> float:
     return worst
 
 
+def block(arr: np.ndarray, gate: str) -> np.ndarray:
+    """The rows of gate ``gate`` (one of "iofc") in a fused W, U or b, as a view."""
+    h = arr.shape[0] // 4
+    k = "iofc".index(gate)
+    return arr[k * h : (k + 1) * h]
+
+
 def zero_params(input_size=4, hidden_size=3, forget_bias=0.0) -> LstmParams:
     params = zeros_like_params(init_params(input_size, hidden_size, make_rng(0)))
-    params.b_f += forget_bias
+    block(params.b, "f")[:] += forget_bias
     return params
 
 
@@ -87,28 +96,50 @@ class TestInitParams:
     def test_recurrent_matrices_orthogonal(self):
         for h in (4, 16, 128):
             params = init_params(8, h, make_rng(1))
-            for name in ("U_i", "U_o", "U_f", "U_c"):
-                u = getattr(params, name)
+            for gate in "iofc":
+                u = block(params.U, gate)
                 assert np.abs(u.T @ u - np.eye(h)).max() < 1e-6
 
     def test_forget_bias_all_ones(self):
         params = init_params(89, 128, make_rng(2))
-        assert np.all(params.b_f == 1.0)
+        assert np.all(block(params.b, "f") == 1.0)
 
     def test_other_biases_zero(self):
         params = init_params(89, 128, make_rng(2))
-        for name in ("b_i", "b_o", "b_c", "c"):
-            assert np.all(getattr(params, name) == 0.0)
+        for arr in (block(params.b, "i"), block(params.b, "o"), block(params.b, "c"), params.c):
+            assert np.all(arr == 0.0)
 
     def test_input_weights_within_glorot_bound(self):
         params = init_params(89, 128, make_rng(3))
         bound = math.sqrt(6.0 / (89 + 128))
-        for name in ("W_i", "W_o", "W_f", "W_c"):
-            assert np.abs(getattr(params, name)).max() <= bound
+        for gate in "iofc":
+            assert np.abs(block(params.W, gate)).max() <= bound
 
     def test_output_weights_within_glorot_bound(self):
         params = init_params(89, 128, make_rng(3))
         assert np.abs(params.V).max() <= math.sqrt(6.0 / (128 + 89))
+
+    def test_fixed_seed_gives_per_gate_draws_in_order(self):
+        # Four Glorot input blocks, four orthogonal recurrent blocks, then V,
+        # each drawn from one generator in gate order i, o, f, c.
+        E, H = 9, 5
+        rng = make_rng(21)
+        limit = math.sqrt(6.0 / (E + H))
+        W = [rng.uniform(-limit, limit, size=(H, E)) for _ in range(4)]
+        U = []
+        for _ in range(4):
+            q, r = np.linalg.qr(rng.standard_normal((H, H)))
+            d = np.sign(np.diag(r))
+            d[d == 0] = 1.0
+            U.append(q * d)
+        V = rng.uniform(-limit, limit, size=(E, H))
+        params = init_params(E, H, make_rng(21))
+        for k, gate in enumerate("iofc"):
+            assert block(params.W, gate).tobytes() == W[k].tobytes(), gate
+            assert block(params.U, gate).tobytes() == U[k].tobytes(), gate
+        assert params.V.tobytes() == V.tobytes()
+        assert block(params.b, "f").tolist() == [1.0] * H
+        assert np.all(params.b[: 2 * H] == 0.0) and np.all(params.b[3 * H :] == 0.0)
 
     def test_deterministic_for_seed(self):
         a = init_params(10, 5, make_rng(7))
@@ -246,8 +277,8 @@ class TestBatchGradients:
         params.V[:] = 0.0
         X = rng.random((2, 3, 6))
         grads, _ = batch_gradients(params, X, np.array([0, 1]), np.array([0, 1]), 3)
-        assert np.all(grads.b_c == 0.0)
-        assert np.all(grads.W_i == 0.0)
+        assert np.all(block(grads.b, "c") == 0.0)
+        assert np.all(block(grads.W, "i") == 0.0)
         assert not np.all(grads.c == 0.0)  # output bias still learns
 
     def test_duplicated_example_equals_single(self):
@@ -277,11 +308,11 @@ class TestAdam:
     def test_first_step_magnitude(self):
         params = zero_params()
         grads = zeros_like_params(params)
-        grads.W_i[0, 0] = 1.0
+        block(grads.W, "i")[0, 0] = 1.0
         state = init_adam(params, lr=0.001)
         adam_update(params, grads, state)
         expected = 0.001 * 1.0 / (1.0 + 1e-8)
-        assert params.W_i[0, 0] == pytest.approx(-expected, rel=1e-9)
+        assert block(params.W, "i")[0, 0] == pytest.approx(-expected, rel=1e-9)
 
     def test_zero_gradient_is_fixed_point(self):
         params = init_params(5, 4, make_rng(1))
@@ -293,32 +324,32 @@ class TestAdam:
 
     def test_quadratic_descent_strictly_decreases(self):
         params = zero_params()
-        params.W_i[0, 0] = 1.0
+        block(params.W, "i")[0, 0] = 1.0
         state = init_adam(params, lr=0.01)
         values = []
         for _ in range(100):
-            theta = params.W_i[0, 0]
+            theta = block(params.W, "i")[0, 0]
             values.append(theta * theta)
             grads = zeros_like_params(params)
-            grads.W_i[0, 0] = 2.0 * theta
+            block(grads.W, "i")[0, 0] = 2.0 * theta
             adam_update(params, grads, state)
-        values.append(params.W_i[0, 0] ** 2)
+        values.append(block(params.W, "i")[0, 0] ** 2)
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
 class TestClipGradients:
     def test_norm_reduced_to_cap(self):
         grads = zero_params()
-        grads.W_i[:] = 10.0
+        block(grads.W, "i")[:] = 10.0
         norm = clip_gradients(grads, 5.0)
         assert norm > 5.0
         assert nw.global_norm(grads) == pytest.approx(5.0, rel=1e-12)
 
     def test_small_gradients_untouched(self):
         grads = zero_params()
-        grads.W_i[0, 0] = 0.5
+        block(grads.W, "i")[0, 0] = 0.5
         clip_gradients(grads, 5.0)
-        assert grads.W_i[0, 0] == 0.5
+        assert block(grads.W, "i")[0, 0] == 0.5
 
 
 class TestFit:
@@ -428,6 +459,7 @@ class TestFit:
                 best, best_epoch = epoch_loss, epoch
         tail = trace[best_epoch + 1 :]
         assert tail and all(epoch_loss > best for epoch_loss in tail)
+        assert nw.best_epoch(trace, 1e-4) == best_epoch + 1
 
         reference, reference_trace = run(best_epoch + 1)
         assert reference_trace == trace[: best_epoch + 1]
@@ -535,6 +567,20 @@ class TestWeightsFile:
             save_weights(path, init_params(17, 5, make_rng(13)), meta)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.wts"]
+
+    def test_version_1_file_refused_by_name(self, tmp_path, caplog):
+        # Magic, version 1, dimensions P D H window, then the 14 per-gate tensors.
+        run_dir = tmp_path / "run"
+        (run_dir / "weights").mkdir(parents=True)
+        path = run_dir / "weights" / "orig.wts"
+        path.write_bytes(nw.WEIGHTS_MAGIC + struct.pack("<6I", 1, 59, 30, 128, 7, 14))
+        with pytest.raises(WeightsFormatError, match="version 1 .*retrain"):
+            load_weights(path)
+        code = cli.main(["generate", "--run-dir", str(run_dir), "--mode", "orig", "-n", "5",
+                         "--seed-phrase", "60:4,62:4,64:4,65:4,67:4,69:4,71:4"])
+        assert code == cli.EXIT_VALIDATION
+        assert "weights format version 1 " in caplog.text
+        assert "retrain" in caplog.text
 
     def test_check_compatible_names_both_dimensions(self):
         meta = WeightsMeta(pitch_count=59, duration_count=30, hidden_size=128, window=7)

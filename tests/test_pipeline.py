@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ class TestTrainDeterminism:
         )
         for (_, arr_a), (_, arr_b) in zip(orig.tensors(), again.tensors()):
             assert np.array_equal(arr_a, arr_b)
+
+
+class TestKeptEpoch:
+    def test_manifest_records_the_epoch_whose_weights_were_saved(self, tmp_path):
+        # At this learning rate the loss rises again after its best epoch.
+        cfg = tiny_config(epochs=30, learning_rate=0.3, plateau_patience=31)
+        corpus = tiny_corpus(cfg)
+        pipeline.train(corpus, cfg, tmp_path / "full")
+        entry = pipeline.read_manifest(tmp_path / "full")["modes"]["orig"]
+        assert entry["epochs_run"] == 30
+        assert entry["best_epoch"] < 30
+        assert entry["best_loss"] < entry["final_loss"]
+
+        pipeline.train(corpus, replace(cfg, epochs=entry["best_epoch"]), tmp_path / "cut")
+        cut = pipeline.read_manifest(tmp_path / "cut")["modes"]["orig"]
+        assert cut["weights_sha256"] == entry["weights_sha256"]
+        assert cut["best_epoch"] == cut["epochs_run"] == entry["best_epoch"]
+        assert cut["best_loss"] == cut["final_loss"] == entry["best_loss"]
 
 
 class TestPhase1Generate:
