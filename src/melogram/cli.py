@@ -9,9 +9,12 @@ Each command parses its arguments, loads its inputs and calls one function
 of ``pipeline``; ``run-all`` calls ``run_experiment``, which composes the
 same stage functions, so the staged chain and ``run-all`` write the same files.
 
-Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 unexpected
-runtime failure. Seed values (only) may be overridden with environment
-variables MELOGRAM_SEED_INIT, _SHUFFLE, _PHASE1 and _PUBLIC.
+The ``--config`` file is the only source of config values; keys it omits
+keep their defaults. Exit codes: 0 success, 2 validation failure (a config
+error included: an unknown key, a wrong JSON type or a value out of range,
+each message starting with the file, e.g. ``c.json: model.window: expected
+int, got 'x'``), 3 parse failure (a config file that is not valid JSON
+included), 4 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -33,34 +35,23 @@ EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 EXIT_RUNTIME = 4
 
-_SEED_ENV_VARS = {
-    "init": "MELOGRAM_SEED_INIT",
-    "shuffle": "MELOGRAM_SEED_SHUFFLE",
-    "phase1": "MELOGRAM_SEED_PHASE1",
-    "public": "MELOGRAM_SEED_PUBLIC",
-}
-
 
 def load_config(path: str | None) -> pipeline.RunConfig:
-    """Load and validate a config file; missing path means all defaults."""
+    """Load and validate a config file; missing path means all defaults.
+
+    Every error names the file: invalid JSON raises ``InputFormatError``, any
+    other config error ``ValueError``.
+    """
     if path is None:
-        data: dict = {}
-    else:
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigParseError(f"config file {path} is not valid JSON: {exc}") from exc
-    seeds = dict(data.get("seeds", {}))
-    for field_name, var in _SEED_ENV_VARS.items():
-        if var in os.environ:
-            seeds[field_name] = int(os.environ[var])
-    if seeds:
-        data = {**data, "seeds": seeds}
-    return pipeline.config_from_dict(data)
-
-
-class ConfigParseError(ValueError):
-    pass
+        return pipeline.RunConfig()
+    try:
+        data = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise pipeline.InputFormatError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return pipeline.config_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_seed_phrase(text: str) -> list[NoteEvent]:
@@ -130,12 +121,18 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     reports: dict[str, metrics.MetricsReport] = {}
+    sources: dict[str, str] = {}  # report column -> the file it came from
     if args.corpus:
         corpus = pipeline.load_corpus(Path(args.corpus))
         reports["DS"] = metrics.evaluate_many([m.notes for m in corpus])
+        sources["DS"] = args.corpus
     for path_text in args.melodies:
         path = Path(path_text)
         label = pipeline.MODE_LABELS.get(path.stem, path.stem)
+        if label in sources:
+            raise ValueError(f"{sources[label]} and {path_text} both map to "
+                             f"report column {label!r}")
+        sources[label] = path_text
         reports[label] = metrics.evaluate(pipeline.load_melody(path))
     if args.out:
         table = pipeline.write_report(reports, Path(args.out))
@@ -262,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (midi.MidiParseError, ConfigParseError, pipeline.InputFormatError,
+    except (midi.MidiParseError, pipeline.InputFormatError,
             json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_PARSE

@@ -56,6 +56,11 @@ class Seeds:
     phase1: int = 303
     public: int = 404
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"seed {name} must be >= 0, got {value}")
+
 
 @dataclass
 class RunConfig:
@@ -79,96 +84,92 @@ class RunConfig:
     phase2_notes: int = 5000
     resample_cap: int = 100
     seeds: Seeds = field(default_factory=Seeds)
-    warm_start_retrain: bool = False
     mix_conjunction_filter: bool = False
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        for name in ("hidden_size", "batch_size", "epochs", "phase1_notes",
-                     "phase2_notes", "resample_cap"):
+        for name in ("hidden_size", "batch_size", "epochs", "plateau_patience",
+                     "phase1_notes", "phase2_notes", "resample_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "plateau_threshold", "clip_norm"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not np.isfinite(self.plateau_threshold):
-            raise ValueError("plateau_threshold must be finite")
+
+
+# The config file's blocks and keys, the one list of them. A ``vocabulary``
+# key names a ``NoteVocabulary`` field, a ``seeds`` key a ``Seeds`` field and
+# every other key a ``RunConfig`` field.
+CONFIG_KEYS = {
+    "vocabulary": ("pitch_lo", "pitch_hi", "durations"),
+    "model": ("hidden_size", "window"),
+    "training": ("learning_rate", "batch_size", "epochs", "plateau_patience",
+                 "plateau_threshold", "clip_norm"),
+    "generation": ("phase1_notes", "phase2_notes", "resample_cap", "mix_conjunction_filter"),
+    "seeds": ("init", "shuffle", "phase1", "public"),
+}
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Flatten a config into the blocks used by the config file and manifest."""
+    owners = {"vocabulary": cfg.vocab, "seeds": cfg.seeds}
     return {
-        "vocabulary": {
-            "pitch_lo": cfg.vocab.pitch_lo,
-            "pitch_hi": cfg.vocab.pitch_hi,
-            "durations": list(cfg.vocab.durations),
-        },
-        "model": {"hidden_size": cfg.hidden_size, "window": cfg.window},
-        "training": {
-            "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size,
-            "epochs": cfg.epochs,
-            "plateau_patience": cfg.plateau_patience,
-            "plateau_threshold": cfg.plateau_threshold,
-            "clip_norm": cfg.clip_norm,
-        },
-        "generation": {
-            "phase1_notes": cfg.phase1_notes,
-            "phase2_notes": cfg.phase2_notes,
-            "resample_cap": cfg.resample_cap,
-            "warm_start_retrain": cfg.warm_start_retrain,
-            "mix_conjunction_filter": cfg.mix_conjunction_filter,
-        },
-        "seeds": {
-            "init": cfg.seeds.init,
-            "shuffle": cfg.seeds.shuffle,
-            "phase1": cfg.seeds.phase1,
-            "public": cfg.seeds.public,
-        },
+        block: {key: _to_json(getattr(owners.get(block, cfg), key)) for key in keys}
+        for block, keys in CONFIG_KEYS.items()
     }
 
 
+def _to_json(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a config from file blocks, rejecting unknown keys."""
+    """Build a config from file blocks; a missing key keeps its default.
+
+    An unknown block or key, or a value whose JSON type differs from its
+    default's, raises ``ValueError`` naming the place, e.g.
+    ``model.hidden_size: expected int, got 'big'``. An int is taken where the
+    default is a float; a bool is never taken for an int.
+    """
     defaults = config_to_dict(RunConfig())
-    _reject_unknown(data, defaults.keys(), "config")
+    _check_block(data, CONFIG_KEYS, "")
     merged = {}
-    for block, block_defaults in defaults.items():
+    for block, keys in CONFIG_KEYS.items():
         given = data.get(block, {})
-        if not isinstance(given, dict):
-            raise ValueError(f"config block {block!r} must be an object")
-        _reject_unknown(given, block_defaults.keys(), f"config block {block!r}")
-        merged[block] = {**block_defaults, **given}
+        _check_block(given, keys, block)
+        for key, value in given.items():
+            _check_type(value, defaults[block][key], f"{block}.{key}")
+        merged[block] = {**defaults[block], **given}
 
-    vocab = NoteVocabulary(
-        pitch_lo=merged["vocabulary"]["pitch_lo"],
-        pitch_hi=merged["vocabulary"]["pitch_hi"],
-        durations=tuple(merged["vocabulary"]["durations"]),
-    )
-    gen = merged["generation"]
+    vocab = merged.pop("vocabulary")
     return RunConfig(
-        vocab=vocab,
-        window=merged["model"]["window"],
-        hidden_size=merged["model"]["hidden_size"],
-        batch_size=merged["training"]["batch_size"],
-        learning_rate=merged["training"]["learning_rate"],
-        epochs=merged["training"]["epochs"],
-        plateau_patience=merged["training"]["plateau_patience"],
-        plateau_threshold=merged["training"]["plateau_threshold"],
-        clip_norm=merged["training"]["clip_norm"],
-        phase1_notes=gen["phase1_notes"],
-        phase2_notes=gen["phase2_notes"],
-        resample_cap=gen["resample_cap"],
-        warm_start_retrain=gen["warm_start_retrain"],
-        mix_conjunction_filter=gen["mix_conjunction_filter"],
-        seeds=Seeds(**merged["seeds"]),
+        vocab=NoteVocabulary(**{**vocab, "durations": tuple(vocab["durations"])}),
+        seeds=Seeds(**merged.pop("seeds")),
+        **{key: value for block in merged.values() for key, value in block.items()},
     )
 
 
-def _reject_unknown(data: dict, allowed, where: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
+def _check_block(value, allowed, where: str) -> None:
+    """Refuse ``value`` unless it is an object whose keys are all in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where or 'top level'}: expected an object, got {value!r}")
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
+        raise ValueError(f"unknown keys: {', '.join(_join(where, key) for key in unknown)}")
+
+
+def _check_type(value, default, where: str) -> None:
+    """Refuse ``value`` unless its JSON type is that of ``default``."""
+    if isinstance(default, list):
+        if not (type(value) is list and all(type(item) is int for item in value)):
+            raise ValueError(f"{where}: expected a list of int, got {value!r}")
+        return
+    kind = type(default)
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
 class CorpusNoteError(EncodingError):
@@ -198,22 +199,17 @@ def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> np.ndarray:
 
 
 def train_on_examples(
-    windows: np.ndarray,
-    cfg: RunConfig,
-    warm_from: network.LstmParams | None = None,
+    windows: np.ndarray, cfg: RunConfig
 ) -> tuple[network.LstmParams, list[float]]:
-    """Train from a fresh initialization (or a warm-start copy) to a plateau.
+    """Train from a fresh initialization to a plateau.
 
     Returns the weights of the best epoch (see ``network.fit``) and the loss
     trace of every epoch run, so the trace may end past the best epoch.
     """
     contexts, pitch_targets, dur_targets = stack_examples(windows, cfg.vocab)
-    if warm_from is not None:
-        params = warm_from.copy()
-    else:
-        params = network.init_params(
-            cfg.vocab.dim, cfg.hidden_size, network.make_rng(cfg.seeds.init)
-        )
+    params = network.init_params(
+        cfg.vocab.dim, cfg.hidden_size, network.make_rng(cfg.seeds.init)
+    )
     return network.fit(
         params, contexts, pitch_targets, dur_targets, cfg.vocab.pitch_count,
         epochs=cfg.epochs,
@@ -360,7 +356,7 @@ def _load_json(path: Path, decode):
     """``decode`` the JSON of ``path``; any schema error names the file and the field."""
     try:
         return decode(json.loads(Path(path).read_text()))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
@@ -598,8 +594,7 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     """Train ``dia``/``spi``/``tri``/``mix`` on the corpus plus their amended pairs.
 
     ``mix`` pools the three rule streams, or takes the conjunction stream
-    under ``mix_conjunction_filter``. With ``warm_start_retrain`` every
-    retrain starts from the ``orig`` weights instead of a fresh init.
+    under ``mix_conjunction_filter``.
     """
     orig_windows = corpus_windows(corpus, cfg)
     amended = {
@@ -610,12 +605,11 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
         amended["mix"] = _load_amended_in_vocabulary(run_dir / "amended" / "mix.json", cfg)
     else:
         amended["mix"] = [pair for rule in RULE_ORDER for pair in amended[rule.value]]
-    warm = load_checked_weights(run_dir, "orig", cfg) if cfg.warm_start_retrain else None
 
     modes = {}
     for mode in MODES[1:]:
         dataset = build_augmented_dataset(orig_windows, amended[mode], cfg)
-        params, trace = train_on_examples(dataset, cfg, warm_from=warm)
+        params, trace = train_on_examples(dataset, cfg)
         modes[mode] = _save_mode(run_dir, mode, params, trace, dataset, cfg)
     update_manifest(run_dir, {"modes": modes})
 
@@ -644,6 +638,8 @@ def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg
     The melody goes to ``out``, by default ``melodies/<mode>.json``, which
     the manifest then records; ``midi_out`` also exports it as MIDI.
     """
+    if n < 1:
+        raise ValueError(f"number of notes to generate must be >= 1, got {n}")
     params = load_checked_weights(run_dir, mode, cfg)
     rng = network.make_rng(cfg.seeds.public)
     notes = phase2_generate(params, seed_phrase, n, cfg, rng)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import warnings
@@ -172,6 +173,33 @@ class TestStagedCommands:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert set(manifest["modes"]) == {"orig", "dia", "spi", "tri", "mix"}
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_generate_refuses_fewer_than_one_note(self, tmp_path, caplog, n):
+        config, corpus = tiny_config_file(tmp_path), write_corpus(tmp_path)
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--corpus", str(corpus), "--config", str(config),
+                         "--run-dir", str(run_dir)]) == 0
+        code = cli.main(["generate", "--run-dir", str(run_dir), "--config", str(config),
+                         "--mode", "orig", "-n", str(n), "--corpus", str(corpus)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"must be >= 1, got {n}" in caplog.text
+        assert not (run_dir / "melodies").exists()
+
+    @pytest.mark.parametrize("names", [("a/mix.json", "b/mix.json"), ("DS.json",)],
+                             ids=["two-mix-files", "corpus-and-DS-file"])
+    def test_evaluate_refuses_two_files_for_one_column(self, tmp_path, caplog, names):
+        corpus = write_corpus(tmp_path)
+        paths = [tmp_path / name for name in names]
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            pipeline.save_melody(path, [NoteEvent(60 + i, 4) for i in range(8)])
+        code = cli.main(["evaluate", *map(str, paths), "--corpus", str(corpus),
+                         "--out", str(tmp_path / "report")])
+        assert code == cli.EXIT_VALIDATION
+        first = corpus if len(paths) == 1 else paths[0]
+        assert f"{first} and {paths[-1]} both map to report column" in caplog.text
+        assert not (tmp_path / "report").exists()
+
     def test_conjunction_filter_staged_path(self, tmp_path):
         config_data = json.loads(tiny_config_file(tmp_path).read_text())
         config_data["generation"] = {"phase1_notes": 40, "phase2_notes": 40,
@@ -311,12 +339,73 @@ class TestConfigHandling:
                          "--run-dir", str(tmp_path / "run")])
         assert code == cli.EXIT_VALIDATION
 
-    def test_malformed_json_is_parse_error(self, tmp_path):
+    def test_init_config_writes_the_key_table(self, tmp_path):
+        path = tmp_path / "defaults.json"
+        assert cli.main(["init-config", "--out", str(path)]) == 0
+        written = json.loads(path.read_text())
+        assert {block: set(keys) for block, keys in written.items()} == {
+            block: set(keys) for block, keys in pipeline.CONFIG_KEYS.items()
+        }
+
+    def test_every_field_round_trips_through_a_config_file(self, tmp_path):
+        cfg = pipeline.RunConfig(
+            vocab=NoteVocabulary(pitch_lo=50, pitch_hi=80, durations=(1, 3, 6)),
+            window=5, hidden_size=16, batch_size=8, learning_rate=0.02, epochs=12,
+            plateau_patience=4, plateau_threshold=5e-3, clip_norm=2.5,
+            phase1_notes=70, phase2_notes=90, resample_cap=9,
+            seeds=pipeline.Seeds(init=1, shuffle=2, phase1=3, public=4),
+            mix_conjunction_filter=True,
+        )
+        default = pipeline.RunConfig()
+        for owner, default_owner in ((cfg, default), (cfg.vocab, default.vocab),
+                                     (cfg.seeds, default.seeds)):
+            for f in dataclasses.fields(owner):
+                if f.name not in ("vocab", "seeds"):
+                    assert getattr(owner, f.name) != getattr(default_owner, f.name), f.name
+        path = tmp_path / "every.json"
+        path.write_text(json.dumps(pipeline.config_to_dict(cfg)))
+        assert cli.load_config(str(path)) == cfg
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "top level: expected an object, got [1]"),
+        ('{"model": {"hidden_size": "big"}}', "model.hidden_size: expected int, got 'big'"),
+        ('{"vocabulary": {"durations": 5}}', "vocabulary.durations: expected a list of int"),
+        ('{"training": {"epochs": 2.5}}', "training.epochs: expected int, got 2.5"),
+        ('{"seeds": {"init": "x"}}', "seeds.init: expected int, got 'x'"),
+        ('{"model": []}', "model: expected an object, got []"),
+        ('{"model": {"window": true}}', "model.window: expected int, got True"),
+        ('{"training": {"lr": 0.1}, "modle": {}}', "unknown keys: modle"),
+        ('{"training": {"lr": 0.1}}', "unknown keys: training.lr"),
+        ('{"training": {"clip_norm": NaN}}', "clip_norm must be finite"),
+        ('{"training": {"plateau_patience": 0}}', "plateau_patience must be >= 1"),
+        ('{"seeds": {"public": -1}}', "seed public must be >= 0, got -1"),
+    ], ids=["top-level-list", "hidden-size-str", "durations-int", "epochs-float", "seed-str",
+            "block-list", "window-bool", "unknown-block", "unknown-key", "clip-norm-nan",
+            "patience-zero", "seed-negative"])
+    def test_config_schema_error_names_file_and_key(self, tmp_path, caplog, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code = cli.main(["train", "--corpus", "nowhere.json", "--config", str(path),
+                         "--run-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{path}: {message}" in caplog.text
+
+    def test_malformed_json_is_parse_error(self, tmp_path, caplog):
         path = tmp_path / "broken.json"
         path.write_text("{нет")
         code = cli.main(["train", "--corpus", "nowhere.json", "--config", str(path),
                          "--run-dir", str(tmp_path / "run")])
         assert code == cli.EXIT_PARSE
+        assert f"{path}: not valid JSON" in caplog.text
+
+    @pytest.mark.parametrize("option", ["--config", "--corpus"])
+    def test_non_utf8_input_is_parse_error(self, tmp_path, caplog, option):
+        files = {"--config": tiny_config_file(tmp_path), "--corpus": write_corpus(tmp_path)}
+        files[option].write_bytes(b"\xff" + files[option].read_bytes())
+        code = cli.main(["train", "--corpus", str(files["--corpus"]),
+                         "--config", str(files["--config"]), "--run-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_PARSE
+        assert f"{files[option]}: not valid JSON" in caplog.text
 
     @pytest.mark.parametrize("text, field", [
         ('{"piece": []}', "missing field 'pieces'"),
@@ -404,12 +493,6 @@ class TestConfigHandling:
         # A broken file is only skipped; with nothing usable the exit is validation.
         code = cli.main(["ingest", str(midi_dir), "--out", str(tmp_path / "c.json")])
         assert code == cli.EXIT_VALIDATION
-
-    def test_env_overrides_seeds_only(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MELOGRAM_SEED_PUBLIC", "9999")
-        cfg = cli.load_config(None)
-        assert cfg.seeds.public == 9999
-        assert cfg.seeds.init == pipeline.Seeds().init
 
     def test_seed_phrase_parser(self):
         notes = cli.parse_seed_phrase("60:4, 64:2,67:1")

@@ -57,6 +57,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             pipeline.RunConfig(window=0)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm", "plateau_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rates(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            pipeline.RunConfig(**{name: value})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed shuffle must be >= 0"):
+            pipeline.Seeds(shuffle=-1)
+
     def test_config_dict_round_trip(self):
         cfg = tiny_config()
         data = pipeline.config_to_dict(cfg)
