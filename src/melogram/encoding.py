@@ -162,6 +162,13 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, len(probs) - 1)
 
 
+def sample_note(pitch_dist: np.ndarray, dur_dist: np.ndarray, vocab: NoteVocabulary,
+                rng: np.random.Generator) -> NoteEvent:
+    """Draw a note from per-segment distributions: the pitch first, then the duration."""
+    pitch = vocab.pitch_lo + sample_index(pitch_dist, rng)
+    return NoteEvent(pitch, vocab.durations[sample_index(dur_dist, rng)])
+
+
 def fold_pitch(pitch: int, vocab: NoteVocabulary) -> int:
     """Shift a pitch by whole octaves until it lands in the vocabulary range.
 

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .encoding import NoteVocabulary, sample_index
+from .encoding import NoteVocabulary, sample_index, sample_note
 from .notes import NoteEvent
 
 DIATONIC_CLASSES = frozenset({0, 2, 4, 5, 7, 9, 11})  # C D E F G A B
@@ -159,10 +159,7 @@ def constrained_sample(
     if cap < 1:
         raise ValueError(f"resample cap must be >= 1, got {cap}")
     for attempt in range(1, cap + 1):
-        note = NoteEvent(
-            pitch=vocab.pitch_lo + sample_index(pitch_dist, rng),
-            duration=vocab.durations[sample_index(dur_dist, rng)],
-        )
+        note = sample_note(pitch_dist, dur_dist, vocab, rng)
         if conforms(note, history, rules):
             return note, attempt, attempt > 1
 

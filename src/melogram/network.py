@@ -154,15 +154,14 @@ class Window:
     """A bank of recurrences over the last ``size`` inputs of one stream.
 
     Row k of ``state`` has read the stream's last k+1 inputs from a zero
-    state, so the last row of a full bank has read exactly the window that
-    ``forward`` reads. One more input costs one step of the (size, H) stack:
-    the oldest row leaves, a zero row enters and every row reads the input.
-    ``context`` is the window the bank last read.
+    state, so the last row of a full bank has read exactly the last ``size``
+    inputs, as training reads a window. One more input costs one step of the
+    (size, H) stack: the oldest row leaves, a zero row enters and every row
+    reads the input.
     """
 
     size: int
     state: LstmState | None = None
-    context: np.ndarray | None = None
 
     def read(self, params: LstmParams, x: np.ndarray) -> None:
         zero = np.zeros((1, params.hidden_size))
@@ -176,31 +175,29 @@ class Window:
         self.state = lstm_step(params, x, prev)
 
 
-def forward(params: LstmParams, context: np.ndarray, window: Window | None = None) -> np.ndarray:
-    """Run a context (W x E) from a zero state; return the raw output layer.
+def forward(params: LstmParams, inputs: np.ndarray, window: Window | None = None) -> np.ndarray:
+    """Read ``inputs`` (steps x E) into a window bank; return the raw output layer.
 
-    With a ``window`` bank of size W, a context that is the bank's previous
-    one slid by one input costs a single step of the bank; any other context
-    is read from a fresh bank. The result is the same either way, up to
-    rounding in the last bit, so a generation stream passes one bank to
-    every call.
+    The output is that of the bank's last ``size`` inputs, read from a zero
+    state. Without a ``window`` the bank is a fresh one of ``len(inputs)``
+    rows, so the output is that of ``inputs`` alone. A generation stream
+    passes one bank, the seed phrase on the first call and then each new
+    note alone. A bank that has read fewer inputs than its size raises
+    ``ValueError``.
     """
-    context = np.asarray(context, dtype=float)
-    if context.ndim != 2 or not len(context) or context.shape[1] != params.input_size:
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2 or not len(inputs) or inputs.shape[1] != params.input_size:
         raise ValueError(
-            f"context must be (steps >= 1, {params.input_size}), got {context.shape}"
+            f"inputs must be (steps >= 1, {params.input_size}), got {inputs.shape}"
         )
     if window is None:
-        window = Window(len(context))
-    elif len(context) != window.size:
-        raise ValueError(f"context has {len(context)} steps, window bank holds {window.size}")
-    if window.context is not None and np.array_equal(context[:-1], window.context[1:]):
-        window.read(params, context[-1])
-    else:
-        window.state = None
-        for x in context:
-            window.read(params, x)
-    window.context = context.copy()
+        window = Window(len(inputs))
+    for x in inputs:
+        window.read(params, x)
+    if len(window.state.h) < window.size:
+        raise ValueError(
+            f"window bank holds {window.size} inputs, has read {len(window.state.h)}"
+        )
     return params.V @ window.state.h[-1] + params.c
 
 

@@ -31,7 +31,7 @@ from .encoding import (
     fold_pitch,
     make_training_windows,
     note_indices,
-    sample_index,
+    sample_note,
     split_distribution,
     stack_examples,
 )
@@ -96,8 +96,11 @@ class RunConfig:
         for name in ("learning_rate", "plateau_threshold", "clip_norm"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.plateau_threshold < 0:
+            raise ValueError("plateau_threshold must be >= 0")
 
 
 # The config file's blocks and keys, the one list of them. A ``vocabulary``
@@ -236,6 +239,36 @@ def _check_seed_phrase(seed_phrase: list[NoteEvent], cfg: RunConfig) -> None:
             raise ValueError(f"seed note {note} is outside the vocabulary")
 
 
+def _generate(params: network.LstmParams, seed_phrase: list[NoteEvent], n: int, cfg: RunConfig,
+              rng: np.random.Generator, rules: frozenset[Rule] | None = None,
+              ) -> tuple[list[NoteEvent], list[AmendedPair]]:
+    """The one sampling loop: ``n`` notes after the seed phrase, and the amended pairs.
+
+    Without ``rules`` each note is a free draw; with them, a draw of
+    ``grammar.constrained_sample``. One list of notes is the rule history,
+    the source of each amended pair's context and the bank's input.
+    """
+    _check_seed_phrase(seed_phrase, cfg)
+    notes = list(seed_phrase)
+    amended_pairs: list[AmendedPair] = []
+    bank = network.Window(cfg.window)
+    inputs = np.stack([encode_note(note, cfg.vocab) for note in notes])
+    for _ in range(n):
+        pitch_dist, dur_dist = split_distribution(network.forward(params, inputs, bank), cfg.vocab)
+        if rules is None:
+            note = sample_note(pitch_dist, dur_dist, cfg.vocab, rng)
+        else:
+            note, attempts, amended = grammar.constrained_sample(
+                pitch_dist, dur_dist, notes, rules, cfg.vocab, rng, cap=cfg.resample_cap,
+            )
+            if amended:
+                amended_pairs.append(AmendedPair(context=tuple(notes[-cfg.window:]), note=note,
+                                                 rule_set=rules, attempts=attempts))
+        notes.append(note)
+        inputs = encode_note(note, cfg.vocab)[None]
+    return notes[len(seed_phrase):], amended_pairs
+
+
 def phase1_generate(
     params: network.LstmParams,
     seed_phrase: list[NoteEvent],
@@ -251,32 +284,7 @@ def phase1_generate(
     produced it. Seed notes count as rule history but are not part of the
     returned sequence.
     """
-    _check_seed_phrase(seed_phrase, cfg)
-    context = list(seed_phrase)
-    encoded = [encode_note(note, cfg.vocab) for note in context]
-    history = list(seed_phrase)
-    generated: list[NoteEvent] = []
-    amended_pairs: list[AmendedPair] = []
-    bank = network.Window(cfg.window)
-    for _ in range(n):
-        raw = network.forward(params, np.stack(encoded), bank)
-        pitch_dist, dur_dist = split_distribution(raw, cfg.vocab)
-        note, attempts, amended = grammar.constrained_sample(
-            pitch_dist, dur_dist, history, rules, cfg.vocab, rng,
-            cap=cfg.resample_cap,
-        )
-        if amended:
-            amended_pairs.append(
-                AmendedPair(
-                    context=tuple(context), note=note, rule_set=rules,
-                    attempts=attempts,
-                )
-            )
-        generated.append(note)
-        history.append(note)
-        context = context[1:] + [note]
-        encoded = encoded[1:] + [encode_note(note, cfg.vocab)]
-    return generated, amended_pairs
+    return _generate(params, seed_phrase, n, cfg, rng, rules)
 
 
 def phase2_generate(
@@ -287,21 +295,7 @@ def phase2_generate(
     rng: np.random.Generator,
 ) -> list[NoteEvent]:
     """Free autoregressive sampling; no rule is ever consulted here."""
-    _check_seed_phrase(seed_phrase, cfg)
-    encoded = [encode_note(note, cfg.vocab) for note in seed_phrase]
-    vocab = cfg.vocab
-    generated: list[NoteEvent] = []
-    bank = network.Window(cfg.window)
-    for _ in range(n):
-        raw = network.forward(params, np.stack(encoded), bank)
-        pitch_dist, dur_dist = split_distribution(raw, vocab)
-        note = NoteEvent(
-            pitch=vocab.pitch_lo + sample_index(pitch_dist, rng),
-            duration=vocab.durations[sample_index(dur_dist, rng)],
-        )
-        generated.append(note)
-        encoded = encoded[1:] + [encode_note(note, vocab)]
-    return generated
+    return _generate(params, seed_phrase, n, cfg, rng)[0]
 
 
 def build_augmented_dataset(

@@ -81,3 +81,27 @@ def test_forward_called_once_per_generated_note(monkeypatch, phase):
         notes = pipeline.phase2_generate(params, seed_phrase, 37, cfg, rng)
     assert len(notes) == 37
     assert len(calls) == 37
+
+
+@pytest.mark.parametrize("blocked", ["phase1_generate", "phase2_generate"])
+def test_entry_points_do_not_call_each_other(monkeypatch, blocked):
+    # The launcher records every phase1_generate call as an amend stream and
+    # its output check counts them against the manifest, so neither entry
+    # point may run through the other, nor be bound under a second name.
+    for name in ("phase1_generate", "phase2_generate"):
+        fn = getattr(pipeline, name)
+        assert [attr for attr, value in vars(pipeline).items() if value is fn] == [name]
+    cfg = tiny_config()
+    params = network.init_params(cfg.vocab.dim, cfg.hidden_size, network.make_rng(0))
+    seed_phrase = [NoteEvent(60 + k, 4) for k in range(cfg.window)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{blocked} called")
+
+    monkeypatch.setattr(pipeline, blocked, forbidden)
+    rng = network.make_rng(1)
+    if blocked == "phase2_generate":
+        notes, _ = pipeline.phase1_generate(params, seed_phrase, 5, frozenset({Rule.DIA}), cfg, rng)
+    else:
+        notes = pipeline.phase2_generate(params, seed_phrase, 5, cfg, rng)
+    assert len(notes) == 5

@@ -378,10 +378,12 @@ class TestConfigHandling:
         ('{"training": {"lr": 0.1}}', "unknown keys: training.lr"),
         ('{"training": {"clip_norm": NaN}}', "clip_norm must be finite"),
         ('{"training": {"plateau_patience": 0}}', "plateau_patience must be >= 1"),
+        ('{"training": {"clip_norm": 0}}', "clip_norm must be > 0"),
+        ('{"training": {"plateau_threshold": -0.5}}', "plateau_threshold must be >= 0"),
         ('{"seeds": {"public": -1}}', "seed public must be >= 0, got -1"),
     ], ids=["top-level-list", "hidden-size-str", "durations-int", "epochs-float", "seed-str",
             "block-list", "window-bool", "unknown-block", "unknown-key", "clip-norm-nan",
-            "patience-zero", "seed-negative"])
+            "patience-zero", "clip-norm-zero", "threshold-negative", "seed-negative"])
     def test_config_schema_error_names_file_and_key(self, tmp_path, caplog, text, message):
         path = tmp_path / "c.json"
         path.write_text(text)

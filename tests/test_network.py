@@ -214,8 +214,9 @@ class TestForward:
         assert raw.shape == (89,)
 
     def test_window_bank_matches_one_shot_along_stream(self):
-        # A stream of 500 one-hot notes, read seven at a time through one
-        # bank; every 100 notes the stream jumps, so the bank starts over.
+        # A stream of 500 one-hot notes read through one bank: the 7-note
+        # seed on the first call, then one note per call. Each output is that
+        # of a one-shot forward over the last 7 notes read.
         rng = make_rng(8)
         params = init_params(89, 128, rng)
         stream = np.zeros((506, 89))
@@ -223,14 +224,17 @@ class TestForward:
         stream[np.arange(506), 59 + rng.integers(0, 30, 506)] = 1.0
         bank = Window(7)
         for t in range(500):
-            context = stream[t : t + 7] if t % 100 else rng.permutation(stream[t : t + 7])
-            banked = forward(params, context, bank)
-            assert np.abs(banked - forward(params, context)).max() <= 1e-12
+            banked = forward(params, stream[:7] if t == 0 else stream[t + 6 : t + 7], bank)
+            assert np.abs(banked - forward(params, stream[t : t + 7])).max() <= 1e-12
 
-    def test_window_bank_refuses_other_context_length(self):
+    def test_window_bank_refuses_output_before_full(self):
         params = init_params(6, 4, make_rng(0))
-        with pytest.raises(ValueError, match="window bank holds 7"):
-            forward(params, np.zeros((5, 6)), Window(7))
+        bank = Window(7)
+        with pytest.raises(ValueError, match="window bank holds 7 inputs, has read 5"):
+            forward(params, np.zeros((5, 6)), bank)
+        with pytest.raises(ValueError, match="has read 6"):
+            forward(params, np.zeros((1, 6)), bank)
+        assert forward(params, np.zeros((1, 6)), bank).shape == (6,)
 
 
 class TestLoss:

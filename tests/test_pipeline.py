@@ -63,6 +63,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             pipeline.RunConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("clip_norm", 0.0, "clip_norm must be > 0"),
+        ("clip_norm", -1.0, "clip_norm must be > 0"),
+        ("learning_rate", 0.0, "learning_rate must be > 0"),
+        ("plateau_threshold", -1e-4, "plateau_threshold must be >= 0"),
+    ])
+    def test_rejects_out_of_range_rates(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            pipeline.RunConfig(**{name: value})
+
+    def test_zero_plateau_threshold_accepted(self):
+        assert pipeline.RunConfig(plateau_threshold=0.0).plateau_threshold == 0.0
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed shuffle must be >= 0"):
             pipeline.Seeds(shuffle=-1)
@@ -150,8 +163,11 @@ class TestPhase1Generate:
         assert len(notes) == 60
 
     def test_no_rules_no_amendments(self):
-        _, _, notes, amended = self._setup(rules=frozenset(), n=60)
+        cfg, seed_phrase, notes, amended = self._setup(rules=frozenset(), n=60)
         assert amended == []
+        # With no rule to reject a draw, the filtered stream draws as the free one.
+        params, _ = pipeline.train_orig(tiny_corpus(cfg), cfg)
+        assert notes == pipeline.phase2_generate(params, seed_phrase, 60, cfg, network.make_rng(7))
 
     def test_every_note_conforms_dia(self):
         _, seed_phrase, notes, _ = self._setup(rules=frozenset({Rule.DIA}), n=120)
