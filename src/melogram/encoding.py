@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .notes import Melody, NoteEvent, fold_octaves
+from .notes import Melody, NoteEvent
 
 DEFAULT_PITCH_LO = 36
 DEFAULT_PITCH_HI = 94
@@ -113,24 +113,6 @@ def encode_note(note: NoteEvent, vocab: NoteVocabulary) -> np.ndarray:
     return vec
 
 
-def decode_note(vec: np.ndarray, vocab: NoteVocabulary) -> NoteEvent:
-    """Invert :func:`encode_note`, validating the two-segment invariant."""
-    vec = np.asarray(vec)
-    if vec.shape != (vocab.dim,):
-        raise EncodingError(f"expected vector of length {vocab.dim}, got {vec.shape}")
-    p = vocab.pitch_count
-    pitch_hot = np.flatnonzero(vec[:p])
-    dur_hot = np.flatnonzero(vec[p:])
-    if len(pitch_hot) != 1 or vec[pitch_hot[0]] != 1.0:
-        raise EncodingError("pitch segment must contain exactly one 1")
-    if len(dur_hot) != 1 or vec[p + dur_hot[0]] != 1.0:
-        raise EncodingError("duration segment must contain exactly one 1")
-    return NoteEvent(
-        pitch=vocab.pitch_lo + int(pitch_hot[0]),
-        duration=vocab.durations[int(dur_hot[0])],
-    )
-
-
 def split_distribution(
     raw: np.ndarray, vocab: NoteVocabulary
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,16 +149,6 @@ def sample_note(pitch_dist: np.ndarray, dur_dist: np.ndarray, vocab: NoteVocabul
     """Draw a note from per-segment distributions: the pitch first, then the duration."""
     pitch = vocab.pitch_lo + sample_index(pitch_dist, rng)
     return NoteEvent(pitch, vocab.durations[sample_index(dur_dist, rng)])
-
-
-def fold_pitch(pitch: int, vocab: NoteVocabulary) -> int:
-    """Shift a pitch by whole octaves until it lands in the vocabulary range.
-
-    Octave shifts preserve the pitch class, which every grammar rule and
-    metric depends on. The vocabulary spans at least an octave, so the fold
-    always terminates.
-    """
-    return fold_octaves(pitch, vocab.pitch_lo, vocab.pitch_hi)
 
 
 def make_training_windows(

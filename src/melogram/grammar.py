@@ -142,7 +142,8 @@ def constrained_sample(
     rules: frozenset[Rule],
     vocab: NoteVocabulary,
     rng: np.random.Generator,
-    cap: int = 100,
+    *,
+    cap: int,
 ) -> tuple[NoteEvent, int, bool]:
     """Sample a rule-conforming note from per-segment distributions.
 

@@ -10,6 +10,9 @@ Three quantities describe how well a melody fits the grammar rules:
   ``p_tri``. Counting here is strict: a window counts only when its three
   distinct pitch classes are exactly a triad's set, unlike the generation
   filter which accepts subsets.
+
+``evaluate`` (one melody) and ``evaluate_many`` (pieces pooled) share one
+count, so a melody and a one-piece corpus of it report the same numbers.
 """
 
 from __future__ import annotations
@@ -39,117 +42,47 @@ class MetricsReport:
     n_notes: int
 
 
-def compute_p_dia(notes: list[NoteEvent]) -> tuple[dict[str, float], float]:
-    """Percentage of notes on each diatonic tone, plus their total."""
-    counts = _dia_counts(notes)
-    return _dia_percentages(counts, len(notes))
-
-
-def _dia_counts(notes: list[NoteEvent]) -> dict[str, int]:
-    if not notes:
-        raise ValueError("cannot compute diatonic percentages of an empty melody")
-    counts = {name: 0 for name in TONE_NAMES}
-    class_to_name = {pc: name for name, pc in _TONE_CLASSES.items()}
-    for note in notes:
-        name = class_to_name.get(pitch_class(note.pitch))
-        if name is not None:
-            counts[name] += 1
-    return counts
-
-def _dia_percentages(counts: Mapping[str, int], n: int) -> tuple[dict[str, float], float]:
-    per_tone = {name: 100.0 * counts[name] / n for name in TONE_NAMES}
-    return per_tone, sum(per_tone[name] for name in TONE_NAMES)
-
-
-def compute_spi(notes: list[NoteEvent]) -> float:
-    """Percentage of consecutive pitch intervals exceeding an octave."""
-    if len(notes) < 2:
-        raise ValueError("interval statistics need at least two notes")
-    violations, intervals = _spi_counts(notes)
-    return 100.0 * violations / intervals
-
-
-def _spi_counts(notes: list[NoteEvent]) -> tuple[int, int]:
-    violations = sum(
-        1
-        for prev, cur in zip(notes, notes[1:])
-        if abs(cur.pitch - prev.pitch) > OCTAVE_SEMITONES
-    )
-    return violations, len(notes) - 1
-
-
-def compute_p_tri(notes: list[NoteEvent]) -> tuple[dict[str, float], float]:
-    """Percentage of three-note windows forming each triad quality, plus total."""
-    if len(notes) < 3:
-        raise ValueError("triad statistics need at least three notes")
-    counts, windows = _tri_counts(notes)
-    return _tri_percentages(counts, windows)
-
-
-def _tri_counts(notes: list[NoteEvent]) -> tuple[dict[str, int], int]:
-    counts = {quality: 0 for quality in TRIAD_QUALITIES}
-    for i in range(len(notes) - 2):
-        pcs = frozenset(pitch_class(n.pitch) for n in notes[i : i + 3])
-        if len(pcs) == 3:
-            triad = classify_triad(pcs)
-            if triad is not None:
-                counts[triad.quality] += 1
-    return counts, len(notes) - 2
-
-def _tri_percentages(counts: Mapping[str, int], windows: int) -> tuple[dict[str, float], float]:
-    triad_counts = {q: 100.0 * counts[q] / windows for q in TRIAD_QUALITIES}
-    return triad_counts, sum(triad_counts[q] for q in TRIAD_QUALITIES)
-
-
 def evaluate(notes: list[NoteEvent]) -> MetricsReport:
     """All three metrics for one melody (needs at least three notes)."""
-    per_tone, p_dia = compute_p_dia(notes)
-    spi = compute_spi(notes)
-    triad_counts, p_tri = compute_p_tri(notes)
-    return MetricsReport(
-        per_tone=per_tone,
-        p_dia=p_dia,
-        spi_violation_rate=spi,
-        triad_counts=triad_counts,
-        p_tri=p_tri,
-        n_notes=len(notes),
-    )
+    return _pooled_counts([notes])
 
 
 def evaluate_many(melodies: Iterable[list[NoteEvent]]) -> MetricsReport:
     """Pooled metrics over several melodies.
 
-    Counts are aggregated per piece so intervals and triad windows never
-    span piece boundaries.
+    Counts are summed over the pieces before any percentage is taken, and
+    intervals and triad windows never span piece boundaries. At least one
+    piece needs three notes.
     """
-    dia_totals = {name: 0 for name in TONE_NAMES}
-    tri_totals = {q: 0 for q in TRIAD_QUALITIES}
-    n_notes = violations = intervals = windows = 0
+    return _pooled_counts(melodies)
+
+
+def _pooled_counts(melodies: Iterable[list[NoteEvent]]) -> MetricsReport:
+    class_counts = [0] * 12
+    triads = dict.fromkeys(TRIAD_QUALITIES, 0)
+    n_notes = leaps = intervals = windows = 0
     for notes in melodies:
-        for name, c in _dia_counts(notes).items():
-            dia_totals[name] += c
+        classes = [pitch_class(note.pitch) for note in notes]
+        for pc in classes:
+            class_counts[pc] += 1
+        leaps += sum(abs(b.pitch - a.pitch) > OCTAVE_SEMITONES for a, b in zip(notes, notes[1:]))
+        for window in zip(classes, classes[1:], classes[2:]):
+            triad = classify_triad(frozenset(window))
+            if triad is not None:
+                triads[triad.quality] += 1
         n_notes += len(notes)
-        if len(notes) >= 2:
-            v, k = _spi_counts(notes)
-            violations += v
-            intervals += k
-        if len(notes) >= 3:
-            counts, w = _tri_counts(notes)
-            windows += w
-            for q, c in counts.items():
-                tri_totals[q] += c
-    if n_notes == 0:
-        raise ValueError("no notes to evaluate")
-    if intervals == 0 or windows == 0:
-        raise ValueError("melodies too short for interval/triad statistics")
-    per_tone, p_dia = _dia_percentages(dia_totals, n_notes)
-    triad_counts, p_tri = _tri_percentages(tri_totals, windows)
+        intervals += max(len(notes) - 1, 0)
+        windows += max(len(notes) - 2, 0)
+    if windows == 0:
+        raise ValueError("interval and triad statistics need a melody of at least three notes")
+    per_tone = {name: 100.0 * class_counts[pc] / n_notes for name, pc in _TONE_CLASSES.items()}
+    triad_counts = {q: 100.0 * triads[q] / windows for q in TRIAD_QUALITIES}
     return MetricsReport(
         per_tone=per_tone,
-        p_dia=p_dia,
-        spi_violation_rate=100.0 * violations / intervals,
+        p_dia=sum(per_tone.values()),
+        spi_violation_rate=100.0 * leaps / intervals,
         triad_counts=triad_counts,
-        p_tri=p_tri,
+        p_tri=sum(triad_counts.values()),
         n_notes=n_notes,
     )
 

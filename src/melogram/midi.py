@@ -49,13 +49,11 @@ class RawTrackEvent:
     tick: int
     kind: str
     pitch: int = 0
-    velocity: int = 0
     payload: bytes = b""
 
 
 @dataclass(frozen=True)
 class ParsedMidi:
-    format: int
     division: int
     tracks: tuple[tuple[RawTrackEvent, ...], ...]
 
@@ -141,7 +139,7 @@ def parse_midi(data: bytes) -> ParsedMidi:
         track_reader = _Reader(reader.data, reader.pos, reader.pos + chunk_len)
         tracks.append(tuple(_parse_track(track_reader)))
         reader.pos += chunk_len
-    return ParsedMidi(format=fmt, division=division, tracks=tuple(tracks))
+    return ParsedMidi(division=division, tracks=tuple(tracks))
 
 
 def _parse_track(reader: _Reader) -> list[RawTrackEvent]:
@@ -177,9 +175,9 @@ def _parse_track(reader: _Reader) -> list[RawTrackEvent]:
                 raise MidiParseError("channel data byte >= 0x80", reader.pos - len(data))
             hi = status & 0xF0
             if hi == 0x90 and data[1] > 0:
-                events.append(RawTrackEvent(tick, NOTE_ON, data[0], data[1]))
+                events.append(RawTrackEvent(tick, NOTE_ON, data[0]))
             elif hi == 0x80 or hi == 0x90:  # note-on with velocity 0 is a note-off
-                events.append(RawTrackEvent(tick, NOTE_OFF, data[0], 0))
+                events.append(RawTrackEvent(tick, NOTE_OFF, data[0]))
     return events
 
 

@@ -206,13 +206,6 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss(raw: np.ndarray, target: tuple[int, int], pitch_dim: int) -> float:
-    """Sum of the two per-segment categorical cross-entropies for one output."""
-    lsp = _log_softmax(raw[:pitch_dim])
-    lsd = _log_softmax(raw[pitch_dim:])
-    return float(-(lsp[target[0]] + lsd[target[1]]))
-
-
 def one_hot(columns: np.ndarray, size: int) -> np.ndarray:
     """Dense float64 array of shape (..., size) with a 1 at each given column.
 
@@ -296,36 +289,43 @@ def global_norm(grads: LstmParams) -> float:
 
 
 def clip_gradients(grads: LstmParams, max_norm: float) -> float:
-    """Scale all gradients down to a global norm cap; returns the pre-clip norm."""
+    """Scale all gradients down to a global norm cap; returns the pre-clip norm.
+
+    A cap that is not finite and positive raises ``ValueError``.
+    """
+    if not 0.0 < max_norm < np.inf:  # also false for NaN
+        raise ValueError(f"max_norm must be finite and > 0, got {max_norm}")
     norm = global_norm(grads)
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         scale = max_norm / norm
         for _, arr in grads.tensors():
             arr *= scale
     return norm
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moment accumulators and hyperparameters."""
+    """Adam moment accumulators, step count and learning rate."""
 
     m: LstmParams
     v: LstmParams
+    lr: float
     t: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params: LstmParams, lr: float = 0.001) -> AdamState:
+def init_adam(params: LstmParams, *, lr: float) -> AdamState:
     return AdamState(m=zeros_like_params(params), v=zeros_like_params(params), lr=lr)
 
 
 def adam_update(params: LstmParams, grads: LstmParams, state: AdamState) -> None:
     """One bias-corrected Adam step, applied to the parameters in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_hat_scale = 1.0 / (1.0 - b1 ** state.t)
     v_hat_scale = 1.0 / (1.0 - b2 ** state.t)
     for name in PARAM_FIELDS:
@@ -337,7 +337,7 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState) -> None
         v *= b2
         v += (1.0 - b2) * g * g
         theta = getattr(params, name)
-        theta -= state.lr * (m * m_hat_scale) / (np.sqrt(v * v_hat_scale) + state.eps)
+        theta -= state.lr * (m * m_hat_scale) / (np.sqrt(v * v_hat_scale) + ADAM_EPS)
 
 
 def fit(
@@ -350,10 +350,10 @@ def fit(
     epochs: int,
     batch_size: int,
     rng: np.random.Generator,
-    learning_rate: float = 0.001,
-    plateau_patience: int = 10,
-    plateau_threshold: float = 1e-4,
-    clip_norm: float = 5.0,
+    learning_rate: float,
+    plateau_patience: int,
+    plateau_threshold: float,
+    clip_norm: float,
 ) -> tuple[LstmParams, list[float]]:
     """Train in shuffled mini-batches; returns the params and per-epoch losses.
 
@@ -373,13 +373,16 @@ def fit(
     end on weights the stop rule has judged worse. They are written back into
     ``params`` in place. The trace still holds the loss of every epoch run,
     so ``trace[-1]`` is the last epoch's loss, not necessarily that of the
-    returned weights.
+    returned weights. A ``plateau_threshold`` that is not finite and >= 0
+    raises ``ValueError``.
     """
     n = len(contexts)
     if n == 0:
         raise ValueError("training set is empty")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if not 0.0 <= plateau_threshold < np.inf:  # also false for NaN
+        raise ValueError(f"plateau_threshold must be finite and >= 0, got {plateau_threshold}")
 
     adam = init_adam(params, lr=learning_rate)
     trace: list[float] = []
@@ -406,7 +409,7 @@ def fit(
             best_params = params.copy()
         elif len(trace) - best >= plateau_patience:
             break
-    if best_params is not None and best < len(trace):
+    if best < len(trace):
         for name, arr in params.tensors():
             arr[...] = getattr(best_params, name)
     return params, trace
@@ -416,8 +419,9 @@ def best_epoch(trace: list[float], plateau_threshold: float) -> int:
     """The epoch (from 1) whose weights ``fit`` returns, given its loss trace.
 
     It is the last epoch that beat the best earlier loss by more than
-    ``plateau_threshold``; 0 if none did (only under a non-finite threshold),
-    and then ``fit`` returns its last epoch's weights.
+    ``plateau_threshold``. Under the finite threshold >= 0 and finite losses
+    that ``fit`` allows, the first epoch always does, so only an empty trace
+    gives 0.
     """
     best, epoch = np.inf, 0
     for k, epoch_loss in enumerate(trace, 1):

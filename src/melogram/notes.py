@@ -38,10 +38,6 @@ class NoteEvent:
         if self.duration < 1:
             raise ValueError(f"duration must be >= 1, got {self.duration}")
 
-    @property
-    def pitch_class(self) -> int:
-        return self.pitch % 12
-
 
 @dataclass(frozen=True)
 class Key:
@@ -86,9 +82,3 @@ class Melody:
 
     notes: list[NoteEvent] = field(default_factory=list)
     source_key: Key | None = None
-
-    def __len__(self) -> int:
-        return len(self.notes)
-
-    def __iter__(self):
-        return iter(self.notes)

@@ -28,7 +28,6 @@ from .encoding import (
     NoteVocabulary,
     default_vocabulary,
     encode_note,
-    fold_pitch,
     make_training_windows,
     note_indices,
     sample_note,
@@ -36,7 +35,7 @@ from .encoding import (
     stack_examples,
 )
 from .grammar import AmendedPair, Rule
-from .notes import Key, Melody, NoteEvent
+from .notes import Key, Melody, NoteEvent, fold_octaves
 
 MODES = ("orig", "dia", "spi", "tri", "mix")
 RULE_ORDER = (Rule.DIA, Rule.SPI, Rule.TRI)
@@ -514,7 +513,8 @@ def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: b
             continue
         melody = midi.transpose_to_c(melody, piece_key)
         melody = midi.quantize_durations(melody, parsed.division, cfg.vocab)
-        notes = [NoteEvent(fold_pitch(n.pitch, cfg.vocab), n.duration) for n in melody.notes]
+        lo, hi = cfg.vocab.pitch_lo, cfg.vocab.pitch_hi
+        notes = [NoteEvent(fold_octaves(n.pitch, lo, hi), n.duration) for n in melody.notes]
         folded = sum(a.pitch != b.pitch for a, b in zip(notes, melody.notes))
         if folded:
             log.warning("%s: folded %d notes into the vocabulary range by octaves",
@@ -609,13 +609,17 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
 
 
 def _load_amended_in_vocabulary(path: Path, cfg: RunConfig) -> list[AmendedPair]:
-    """``load_amended``, refusing a note outside the vocabulary.
+    """``load_amended``, refusing a context that is not ``cfg.window`` notes long
+    and a note outside the vocabulary.
 
-    The ``EncodingError`` names the file and the note's place, ``[i].context[k]``
-    or ``[i].note``.
+    Each error names the file and the place: ``[i].context`` for a length, and
+    ``[i].context[k]`` or ``[i].note`` for a note (an ``EncodingError``).
     """
     pairs = load_amended(path)
     for i, pair in enumerate(pairs):
+        if len(pair.context) != cfg.window:
+            raise ValueError(f"{path}: [{i}].context: expected {cfg.window} notes, "
+                             f"got {len(pair.context)}")
         places = [(f"context[{k}]", note) for k, note in enumerate(pair.context)]
         for where, note in places + [("note", pair.note)]:
             try:

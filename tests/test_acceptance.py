@@ -16,7 +16,6 @@ import pytest
 from melogram import grammar, metrics, network, pipeline
 from melogram.encoding import (
     NoteVocabulary,
-    decode_note,
     default_vocabulary,
     encode_note,
     make_training_windows,
@@ -27,7 +26,8 @@ from melogram.midi import extract_melody, parse_midi, quantize_durations, write_
 from melogram.notes import NoteEvent
 
 from conftest import random_melody, walk_melody
-from test_metrics import oracle_p_dia, oracle_p_tri, oracle_spi
+from test_encoding import decode
+from test_metrics import assert_matches_oracles
 from test_network import finite_difference_grads, max_relative_error
 
 
@@ -73,6 +73,7 @@ class TestMemorizationOracle:
         _, trace = network.fit(
             params, X, yp, yd, vocab.pitch_count,
             epochs=300, batch_size=64, rng=network.make_rng(2), learning_rate=0.01,
+            plateau_patience=10, plateau_threshold=1e-4, clip_norm=5.0,
         )
         elapsed = time.time() - start
         assert min(trace) < 0.1
@@ -219,13 +220,7 @@ class TestMetricOracleEquivalence:
                 NoteEvent(int(p), int(d))
                 for p, d in zip(rng.integers(36, 95, length), rng.integers(1, 16, length))
             ]
-            per_tone, p_dia = metrics.compute_p_dia(notes)
-            o_tone, o_dia = oracle_p_dia(notes)
-            assert per_tone == o_tone and p_dia == o_dia
-            assert metrics.compute_spi(notes) == oracle_spi(notes)
-            counts, p_tri = metrics.compute_p_tri(notes)
-            o_counts, o_tri = oracle_p_tri(notes)
-            assert counts == o_counts and p_tri == o_tri
+            assert_matches_oracles(metrics.evaluate(notes), notes)
         report("metric-oracle-equivalence", "1000 melodies, exact equality")
 
 
@@ -241,7 +236,7 @@ class TestEncodingInvariants:
                 assert vec[: vocab.pitch_count].sum() == 1.0
                 assert vec[vocab.pitch_count :].sum() == 1.0
                 assert np.count_nonzero(vec) == 2
-                assert decode_note(vec, vocab) == note
+                assert decode(vec, vocab) == note
                 count += 1
         assert count == 59 * 30 == 1770
         report("encoding-invariants", f"{count} notes swept")

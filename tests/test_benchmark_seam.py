@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from melogram import encoding, network, pipeline
+from melogram import encoding, metrics, network, pipeline
 from melogram.grammar import Rule
 from melogram.notes import NoteEvent
 
@@ -83,25 +83,46 @@ def test_forward_called_once_per_generated_note(monkeypatch, phase):
     assert len(calls) == 37
 
 
-@pytest.mark.parametrize("blocked", ["phase1_generate", "phase2_generate"])
-def test_entry_points_do_not_call_each_other(monkeypatch, blocked):
-    # The launcher records every phase1_generate call as an amend stream and
-    # its output check counts them against the manifest, so neither entry
-    # point may run through the other, nor be bound under a second name.
-    for name in ("phase1_generate", "phase2_generate"):
-        fn = getattr(pipeline, name)
-        assert [attr for attr, value in vars(pipeline).items() if value is fn] == [name]
+# Each entry point and the one it must not run through.
+ENTRY_PAIRS = {
+    "phase1_generate": (pipeline, "phase2_generate"),
+    "phase2_generate": (pipeline, "phase1_generate"),
+    "evaluate": (metrics, "evaluate_many"),
+    "evaluate_many": (metrics, "evaluate"),
+}
+
+
+def _run_entry_point(name: str) -> int:
+    """Call one entry point on a small input; the number of notes it made or counted."""
+    notes = [NoteEvent(60 + k, 4) for k in range(5)]
+    if name == "evaluate":
+        return metrics.evaluate(notes).n_notes
+    if name == "evaluate_many":
+        return metrics.evaluate_many([notes]).n_notes
     cfg = tiny_config()
     params = network.init_params(cfg.vocab.dim, cfg.hidden_size, network.make_rng(0))
     seed_phrase = [NoteEvent(60 + k, 4) for k in range(cfg.window)]
+    rng = network.make_rng(1)
+    if name == "phase1_generate":
+        return len(pipeline.phase1_generate(params, seed_phrase, 5, frozenset({Rule.DIA}),
+                                            cfg, rng)[0])
+    return len(pipeline.phase2_generate(params, seed_phrase, 5, cfg, rng))
+
+
+@pytest.mark.parametrize("blocked", list(ENTRY_PAIRS))
+def test_entry_points_do_not_call_each_other(monkeypatch, blocked):
+    # The launcher records every phase1_generate call as an amend stream and
+    # its output check counts them against the manifest; it adds the notes
+    # of every evaluate and evaluate_many call to metrics.notes and their
+    # time to the evaluate stage. So neither entry point of a pair may run
+    # through the other, nor be bound under a second name.
+    module, other = ENTRY_PAIRS[blocked]
+    for name in (blocked, other):
+        fn = getattr(module, name)
+        assert [attr for attr, value in vars(module).items() if value is fn] == [name]
 
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{blocked} called")
 
-    monkeypatch.setattr(pipeline, blocked, forbidden)
-    rng = network.make_rng(1)
-    if blocked == "phase2_generate":
-        notes, _ = pipeline.phase1_generate(params, seed_phrase, 5, frozenset({Rule.DIA}), cfg, rng)
-    else:
-        notes = pipeline.phase2_generate(params, seed_phrase, 5, cfg, rng)
-    assert len(notes) == 5
+    monkeypatch.setattr(module, blocked, forbidden)
+    assert _run_entry_point(other) == 5

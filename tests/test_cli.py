@@ -488,6 +488,20 @@ class TestConfigHandling:
         assert (f"{path}: [0].{place}: pitch 100 outside vocabulary range 55..79"
                 in caplog.text)
 
+    def test_short_amended_context_is_located_before_training(self, tmp_path, caplog):
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(tmp_path / "run")]
+        assert cli.main(["train", *common]) == 0
+        assert cli.main(["amend", *common]) == 0
+        path = tmp_path / "run" / "amended" / "spi.json"
+        pairs = json.loads(path.read_text())
+        assert pairs
+        pairs[0]["context"] = pairs[0]["context"][:3]
+        path.write_text(json.dumps(pairs))
+        assert cli.main(["retrain", *common]) == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == f"{path}: [0].context: expected 7 notes, got 3"
+        assert not (tmp_path / "run" / "weights" / "dia.wts").exists()
+
     def test_malformed_midi_is_parse_error(self, tmp_path):
         midi_dir = tmp_path / "midi"
         midi_dir.mkdir()

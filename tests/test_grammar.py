@@ -181,7 +181,7 @@ class TestConstrainedSample:
         pitch_dist = _point_mass(VOCAB.pitch_count, 60 - VOCAB.pitch_lo)  # C4
         note, attempts, amended = constrained_sample(
             pitch_dist, _uniform(VOCAB.duration_count), [], frozenset({Rule.DIA}),
-            VOCAB, rng,
+            VOCAB, rng, cap=100,
         )
         assert note.pitch == 60
         assert attempts == 1
@@ -192,7 +192,7 @@ class TestConstrainedSample:
         for _ in range(50):
             _, attempts, amended = constrained_sample(
                 _uniform(VOCAB.pitch_count), _uniform(VOCAB.duration_count),
-                [NoteEvent(60, 4)], frozenset(), VOCAB, rng,
+                [NoteEvent(60, 4)], frozenset(), VOCAB, rng, cap=100,
             )
             assert attempts == 1 and amended is False
 

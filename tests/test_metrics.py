@@ -10,9 +10,6 @@ import pytest
 
 from melogram.metrics import (
     TONE_NAMES,
-    compute_p_dia,
-    compute_p_tri,
-    compute_spi,
     evaluate,
     evaluate_many,
     report_table,
@@ -85,67 +82,74 @@ def random_notes(rng, length):
 
 class TestComputePDia:
     def test_all_c_notes(self):
-        per_tone, p_dia = compute_p_dia(mk(60, 72, 48, 60))
-        assert per_tone["C"] == 100.0
-        assert p_dia == 100.0
+        report = evaluate(mk(60, 72, 48, 60))
+        assert report.per_tone["C"] == 100.0
+        assert report.p_dia == 100.0
 
     def test_all_chromatic(self):
-        per_tone, p_dia = compute_p_dia(mk(61, 63, 66, 68, 70))
-        assert p_dia == 0.0
-        assert all(v == 0.0 for v in per_tone.values())
+        report = evaluate(mk(61, 63, 66, 68, 70))
+        assert report.p_dia == 0.0
+        assert all(v == 0.0 for v in report.per_tone.values())
 
     def test_crafted_twenty_note_count(self):
         # 11 diatonic (4xC, 3xE, 2xG, 2xA) + 9 chromatic = 55% diatonic.
         pitches = [60] * 4 + [64] * 3 + [67] * 2 + [69] * 2 + [61] * 5 + [63] * 4
-        per_tone, p_dia = compute_p_dia(mk(*pitches))
-        assert p_dia == 55.0
-        assert per_tone["C"] == 20.0
-        assert per_tone["E"] == 15.0
+        report = evaluate(mk(*pitches))
+        assert report.p_dia == 55.0
+        assert report.per_tone["C"] == 20.0
+        assert report.per_tone["E"] == 15.0
 
     def test_empty_melody_rejected(self):
         with pytest.raises(ValueError):
-            compute_p_dia([])
+            evaluate([])
 
 
 class TestComputeSpi:
     def test_stepwise_melody_is_zero(self):
-        assert compute_spi(mk(60, 62, 64, 65, 67)) == 0.0
+        assert evaluate(mk(60, 62, 64, 65, 67)).spi_violation_rate == 0.0
 
     def test_alternating_two_octave_leaps(self):
-        assert compute_spi(mk(48, 72, 48, 72)) == 100.0
+        assert evaluate(mk(48, 72, 48, 72)).spi_violation_rate == 100.0
 
     def test_ten_notes_two_leaps(self):
         pitches = [60, 62, 75, 74, 72, 71, 58, 60, 62, 64]  # leaps 62->75, 71->58
-        assert compute_spi(mk(*pitches)) == pytest.approx(100.0 * 2 / 9)
+        assert evaluate(mk(*pitches)).spi_violation_rate == pytest.approx(100.0 * 2 / 9)
 
     def test_exact_octave_is_not_a_violation(self):
-        assert compute_spi(mk(60, 72, 60)) == 0.0
+        assert evaluate(mk(60, 72, 60)).spi_violation_rate == 0.0
 
     def test_single_note_rejected(self):
         with pytest.raises(ValueError):
-            compute_spi(mk(60))
+            evaluate(mk(60))
 
 
 class TestComputePTri:
     def test_single_major_window(self):
-        counts, p_tri = compute_p_tri(mk(60, 64, 67))
-        assert p_tri == 100.0
-        assert counts["major"] == 100.0
+        report = evaluate(mk(60, 64, 67))
+        assert report.p_tri == 100.0
+        assert report.triad_counts["major"] == 100.0
 
     def test_repeated_note_is_not_a_triad(self):
-        counts, p_tri = compute_p_tri(mk(60, 60, 60))
-        assert p_tri == 0.0
+        assert evaluate(mk(60, 60, 60)).p_tri == 0.0
 
     def test_five_note_mixed_windows(self):
         # Windows: {C,E,G} major, {E,G,B} minor, {G,B,D} major.
-        counts, p_tri = compute_p_tri(mk(60, 64, 67, 59, 62))
-        assert p_tri == pytest.approx(100.0)
-        assert counts["major"] == pytest.approx(100.0 * 2 / 3)
-        assert counts["minor"] == pytest.approx(100.0 / 3)
+        report = evaluate(mk(60, 64, 67, 59, 62))
+        assert report.p_tri == pytest.approx(100.0)
+        assert report.triad_counts["major"] == pytest.approx(100.0 * 2 / 3)
+        assert report.triad_counts["minor"] == pytest.approx(100.0 / 3)
 
     def test_two_notes_rejected(self):
         with pytest.raises(ValueError):
-            compute_p_tri(mk(60, 64))
+            evaluate(mk(60, 64))
+
+
+def assert_matches_oracles(report, notes):
+    """Every field of ``evaluate(notes)`` equals the brute-force oracles exactly."""
+    assert (report.per_tone, report.p_dia) == oracle_p_dia(notes)
+    assert report.spi_violation_rate == oracle_spi(notes)
+    assert (report.triad_counts, report.p_tri) == oracle_p_tri(notes)
+    assert report.n_notes == len(notes)
 
 
 class TestOracleEquivalence:
@@ -153,15 +157,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(31)
         for _ in range(300):
             notes = random_notes(rng, int(rng.integers(3, 51)))
-            per_tone, p_dia = compute_p_dia(notes)
-            o_per, o_dia = oracle_p_dia(notes)
-            assert per_tone == o_per
-            assert p_dia == o_dia
-            assert compute_spi(notes) == oracle_spi(notes)
-            counts, p_tri = compute_p_tri(notes)
-            o_counts, o_tri = oracle_p_tri(notes)
-            assert counts == o_counts
-            assert p_tri == o_tri
+            assert_matches_oracles(evaluate(notes), notes)
 
 
 class TestInvariances:
@@ -169,16 +165,14 @@ class TestInvariances:
         rng = np.random.default_rng(13)
         notes = random_notes(rng, 40)
         shifted = [NoteEvent(n.pitch + 12, n.duration) for n in notes]
-        assert compute_p_dia(notes) == compute_p_dia(shifted)
-        assert compute_p_tri(notes) == compute_p_tri(shifted)
-        assert compute_spi(notes) == compute_spi(shifted)
+        assert evaluate(notes) == evaluate(shifted)
 
     def test_uniform_shift_preserves_spi(self):
         rng = np.random.default_rng(14)
         notes = random_notes(rng, 40)
         for shift in (-7, 3, 5):
             shifted = [NoteEvent(n.pitch + shift, n.duration) for n in notes]
-            assert compute_spi(notes) == compute_spi(shifted)
+            assert evaluate(notes).spi_violation_rate == evaluate(shifted).spi_violation_rate
 
     def test_percentages_bounded_and_consistent(self):
         rng = np.random.default_rng(15)

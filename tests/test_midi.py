@@ -63,7 +63,7 @@ def off(pitch: int) -> bytes:
 
 
 def note(tick: int, kind: str, pitch: int) -> RawTrackEvent:
-    return RawTrackEvent(tick=tick, kind=kind, pitch=pitch, velocity=64)
+    return RawTrackEvent(tick=tick, kind=kind, pitch=pitch)
 
 
 class TestParseMidi:

@@ -32,7 +32,6 @@ from melogram.network import (
     init_adam,
     init_params,
     load_weights,
-    loss,
     lstm_step,
     make_rng,
     one_hot,
@@ -44,14 +43,28 @@ from melogram.network import (
 from conftest import damaged
 
 
+# The training values RunConfig defaults to, for tests that call fit directly.
+TRAINING = dict(learning_rate=0.001, plateau_patience=10, plateau_threshold=1e-4, clip_norm=5.0)
+
+
+def forward_loss(params, x, target, pitch_dim):
+    """Loss of one context along the inference path: ``forward``, then the two
+    per-segment categorical cross-entropies. The oracle for ``batch_gradients``."""
+    raw = forward(params, x)
+    total = 0.0
+    for segment, slot in ((raw[:pitch_dim], target[0]), (raw[pitch_dim:], target[1])):
+        shifted = segment - segment.max()
+        total -= shifted[slot] - np.log(np.exp(shifted).sum())
+    return float(total)
+
+
 def finite_difference_grads(params, X, yp, yd, pitch_dim, eps=1e-5):
     """Central-difference gradient of the mean batch loss, the BPTT oracle."""
 
     def mean_loss():
         total = 0.0
         for b in range(len(X)):
-            raw = forward(params, X[b])
-            total += loss(raw, (int(yp[b]), int(yd[b])), pitch_dim)
+            total += forward_loss(params, X[b], (int(yp[b]), int(yd[b])), pitch_dim)
         return total / len(X)
 
     grads = zeros_like_params(params)
@@ -238,16 +251,24 @@ class TestForward:
 
 
 class TestLoss:
+    # The loss is batch_gradients' mean loss over a batch of one. With V = 0
+    # the raw output is the output bias c.
+    def _loss(self, c, target):
+        params = zero_params(input_size=89, hidden_size=3)
+        params.c[:] = c
+        _, value = batch_gradients(params, np.zeros((1, 2, 89)), np.array([target[0]]),
+                                   np.array([target[1]]), 59)
+        return value
+
     def test_uniform_loss_is_log_59_plus_log_30(self):
-        raw = np.zeros(89)
-        value = loss(raw, (0, 0), 59)
+        value = self._loss(np.zeros(89), (0, 0))
         assert value == pytest.approx(math.log(59) + math.log(30), abs=1e-12)
 
     def test_saturated_targets_near_zero(self):
         raw = np.zeros(89)
         raw[10] = 1000.0
         raw[59 + 5] = 1000.0
-        assert loss(raw, (10, 5), 59) < 1e-6
+        assert self._loss(raw, (10, 5)) < 1e-6
 
     def test_loss_non_negative(self):
         rng = make_rng(5)
@@ -255,7 +276,7 @@ class TestLoss:
             raw = rng.normal(size=89) * 20
             tp = int(rng.integers(0, 59))
             td = int(rng.integers(0, 30))
-            assert loss(raw, (tp, td), 59) >= 0.0
+            assert self._loss(raw, (tp, td)) >= 0.0
 
 
 class TestBatchGradients:
@@ -303,7 +324,7 @@ class TestBatchGradients:
         yd = np.array([2, 1, 0])
         _, batch_loss = batch_gradients(params, X, yp, yd, 3)
         expected = np.mean(
-            [loss(forward(params, X[b]), (int(yp[b]), int(yd[b])), 3) for b in range(3)]
+            [forward_loss(params, X[b], (int(yp[b]), int(yd[b])), 3) for b in range(3)]
         )
         assert batch_loss == pytest.approx(expected, rel=1e-12)
 
@@ -321,7 +342,7 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         params = init_params(5, 4, make_rng(1))
         snapshot = params.copy()
-        state = init_adam(params)
+        state = init_adam(params, lr=0.001)
         adam_update(params, zeros_like_params(params), state)
         assert max_relative_error(params, snapshot) == 0.0
         assert all(np.all(arr == 0.0) for _, arr in state.v.tensors())
@@ -355,6 +376,13 @@ class TestClipGradients:
         clip_gradients(grads, 5.0)
         assert block(grads.W, "i")[0, 0] == 0.5
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0, np.nan, np.inf])
+    def test_cap_not_finite_and_positive_raises(self, cap):
+        grads = zero_params()
+        block(grads.W, "i")[0, 0] = 0.5
+        with pytest.raises(ValueError, match="max_norm must be finite and > 0"):
+            clip_gradients(grads, cap)
+
 
 class TestFit:
     def _toy_data(self, rng, n=40, E=12, W=3, P=8):
@@ -378,7 +406,8 @@ class TestFit:
             return real(params, contexts, pitch_targets, dur_targets, pitch_dim)
 
         monkeypatch.setattr(nw, "batch_gradients", recording)
-        fit(init_params(12, 4, rng), X, yp, yd, 8, epochs=1, batch_size=8, rng=make_rng(4))
+        fit(init_params(12, 4, rng), X, yp, yd, 8, epochs=1, batch_size=8, rng=make_rng(4),
+            **TRAINING)
         order = make_rng(4).permutation(20)
         dense = one_hot(X, 12)
         assert [len(batch[0]) for batch in seen] == [8, 8, 4]
@@ -394,7 +423,8 @@ class TestFit:
         params = init_params(12, 6, rng)
         snapshot = params.copy()
         X, yp, yd = self._toy_data(rng)
-        trained, trace = fit(params, X, yp, yd, 8, epochs=0, batch_size=8, rng=make_rng(3))
+        trained, trace = fit(params, X, yp, yd, 8, epochs=0, batch_size=8, rng=make_rng(3),
+                             **TRAINING)
         assert trace == []
         assert max_relative_error(trained, snapshot) == 0.0
 
@@ -404,7 +434,16 @@ class TestFit:
         X, yp, yd = self._toy_data(rng)
         params.V[0, 0] = np.nan
         with pytest.raises(ValueError, match="epoch 1 loss is nan"):
-            fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(3))
+            fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(3), **TRAINING)
+
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0])
+    def test_refuses_plateau_threshold_not_finite_and_non_negative(self, threshold):
+        rng = make_rng(2)
+        params = init_params(12, 6, rng)
+        X, yp, yd = self._toy_data(rng)
+        with pytest.raises(ValueError, match="plateau_threshold must be finite and >= 0"):
+            fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(3),
+                **{**TRAINING, "plateau_threshold": threshold})
 
     def test_same_seed_gives_identical_traces(self):
         rng = make_rng(5)
@@ -412,7 +451,8 @@ class TestFit:
         runs = []
         for _ in range(2):
             params = init_params(12, 6, make_rng(1))
-            _, trace = fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(2))
+            _, trace = fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(2),
+                           **TRAINING)
             runs.append((params, trace))
         assert runs[0][1] == runs[1][1]
         assert max_relative_error(runs[0][0], runs[1][0]) == 0.0
@@ -423,7 +463,7 @@ class TestFit:
         params = init_params(12, 4, rng)
         _, trace = fit(
             params, X, yp, yd, 8, epochs=500, batch_size=16, rng=make_rng(4),
-            learning_rate=0.0, plateau_patience=5, plateau_threshold=1e-4,
+            **{**TRAINING, "learning_rate": 0.0, "plateau_patience": 5},
         )
         # Zero learning rate cannot improve: the plateau rule must fire.
         assert len(trace) == 6  # first epoch sets best, then 5 stale epochs
@@ -433,7 +473,7 @@ class TestFit:
         X, yp, yd = self._toy_data(rng, n=64)
         params = init_params(12, 8, rng)
         _, trace = fit(params, X, yp, yd, 8, epochs=40, batch_size=16, rng=make_rng(9),
-                       learning_rate=0.01)
+                       **{**TRAINING, "learning_rate": 0.01})
         assert min(trace) < trace[0]
         best_so_far = np.minimum.accumulate(trace)
         assert all(b <= a for a, b in zip(best_so_far, best_so_far[1:]))
@@ -450,7 +490,7 @@ class TestFit:
             params = init_params(12, 6, rng)
             trained, trace = fit(
                 params, X, yp, yd, 8, epochs=epochs, batch_size=8, rng=make_rng(102),
-                learning_rate=0.2, plateau_patience=patience, plateau_threshold=1e-4,
+                **{**TRAINING, "learning_rate": 0.2, "plateau_patience": patience},
             )
             assert trained is params  # restored in place
             return trained, trace

@@ -9,7 +9,7 @@ from melogram.notes import Key, Melody, NoteEvent
 class TestNoteEvent:
     def test_valid_note(self):
         note = NoteEvent(60, 4)
-        assert note.pitch_class == 0
+        assert (note.pitch, note.duration) == (60, 4)
 
     def test_pitch_out_of_midi_range(self):
         with pytest.raises(ValueError, match="pitch"):

@@ -457,15 +457,13 @@ class TestCorpusSerialization:
         # leap-bearing, triad-poor content over the full default vocabulary,
         # or the directional acceptance checks are moot.
         from melogram.encoding import default_vocabulary
-        from melogram.metrics import compute_p_dia, compute_p_tri, compute_spi
+        from melogram.metrics import evaluate
 
         rng = np.random.default_rng(77)
-        melody = walk_melody(rng, default_vocabulary(), 2000)
-        _, p_dia = compute_p_dia(melody.notes)
-        assert 35.0 < p_dia < 65.0
-        assert compute_spi(melody.notes) > 5.0
-        _, p_tri = compute_p_tri(melody.notes)
-        assert p_tri < 5.0
+        report = evaluate(walk_melody(rng, default_vocabulary(), 2000).notes)
+        assert 35.0 < report.p_dia < 65.0
+        assert report.spi_violation_rate > 5.0
+        assert report.p_tri < 5.0
 
 
 class TestInputSchemas:
