@@ -119,12 +119,20 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _report(source: str, evaluate, notes) -> metrics.MetricsReport:
+    """``evaluate(notes)``, any error prefixed by ``source``, the file the notes came from."""
+    try:
+        return evaluate(notes)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def cmd_evaluate(args) -> int:
     reports: dict[str, metrics.MetricsReport] = {}
     sources: dict[str, str] = {}  # report column -> the file it came from
     if args.corpus:
         corpus = pipeline.load_corpus(Path(args.corpus))
-        reports["DS"] = metrics.evaluate_many([m.notes for m in corpus])
+        reports["DS"] = _report(args.corpus, metrics.evaluate_many, [m.notes for m in corpus])
         sources["DS"] = args.corpus
     for path_text in args.melodies:
         path = Path(path_text)
@@ -133,7 +141,7 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"{sources[label]} and {path_text} both map to "
                              f"report column {label!r}")
         sources[label] = path_text
-        reports[label] = metrics.evaluate(pipeline.load_melody(path))
+        reports[label] = _report(path_text, metrics.evaluate, pipeline.load_melody(path))
     if args.out:
         table = pipeline.write_report(reports, Path(args.out))
     else:

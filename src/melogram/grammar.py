@@ -56,30 +56,17 @@ def parse_rules(text: str) -> frozenset[Rule]:
         raise ValueError(f"unknown rule in {text!r}; valid rules: {valid}") from None
 
 
-@dataclass(frozen=True)
-class TriadQuality:
-    """A classified triad: quality plus root pitch class."""
-
-    quality: str
-    root: int
-
-
-def _build_triad_tables() -> tuple[dict[frozenset[int], TriadQuality], frozenset[frozenset[int]]]:
-    exact: dict[frozenset[int], TriadQuality] = {}
-    subsets: set[frozenset[int]] = set()
-    for quality, intervals in _QUALITY_INTERVALS.items():
-        for root in range(12):
-            pcs = frozenset((root + step) % 12 for step in intervals)
-            # Augmented sets repeat every major third; keep the lowest root.
-            if pcs not in exact or root < exact[pcs].root:
-                exact[pcs] = TriadQuality(quality, root)
-            for size in range(1, 4):
-                for combo in combinations(sorted(pcs), size):
-                    subsets.add(frozenset(combo))
-    return exact, frozenset(subsets)
-
-
-TRIAD_SETS, _TRIAD_SUBSETS = _build_triad_tables()
+# Each triad's pitch-class set and its quality (no set has two qualities),
+# and every nonempty subset of a triad's set.
+TRIAD_SETS = {
+    frozenset((root + step) % 12 for step in intervals): quality
+    for quality, intervals in _QUALITY_INTERVALS.items()
+    for root in range(12)
+}
+_TRIAD_SUBSETS = frozenset(
+    frozenset(combo)
+    for pcs in TRIAD_SETS for size in (1, 2, 3) for combo in combinations(pcs, size)
+)
 
 
 def pitch_class(pitch: int) -> int:
@@ -87,8 +74,8 @@ def pitch_class(pitch: int) -> int:
     return pitch % 12
 
 
-def classify_triad(pcs: frozenset[int] | set[int]) -> TriadQuality | None:
-    """Classify a pitch-class set as a triad, or None if it is not exactly one."""
+def classify_triad(pcs: frozenset[int] | set[int]) -> str | None:
+    """The quality of a pitch-class set that is exactly a triad's, else None."""
     return TRIAD_SETS.get(frozenset(pcs))
 
 

@@ -67,9 +67,9 @@ def _pooled_counts(melodies: Iterable[list[NoteEvent]]) -> MetricsReport:
             class_counts[pc] += 1
         leaps += sum(abs(b.pitch - a.pitch) > OCTAVE_SEMITONES for a, b in zip(notes, notes[1:]))
         for window in zip(classes, classes[1:], classes[2:]):
-            triad = classify_triad(frozenset(window))
-            if triad is not None:
-                triads[triad.quality] += 1
+            quality = classify_triad(frozenset(window))
+            if quality is not None:
+                triads[quality] += 1
         n_notes += len(notes)
         intervals += max(len(notes) - 1, 0)
         windows += max(len(notes) - 2, 0)

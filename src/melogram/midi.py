@@ -1,7 +1,8 @@
 """Standard MIDI File reading and writing for monophonic melody work.
 
 Reads SMF format 0 and 1 (big-endian chunk lengths, variable-length delta
-times, running status), writes format 0. Melody extraction keeps only the
+times, running status), keeping the note, time-signature and key-signature
+events, and writes format 0. Melody extraction keeps only the
 highest sounding note at any instant, then pitches are transposed to
 C major / A minor and durations snapped onto the vocabulary grid.
 """
@@ -9,6 +10,7 @@ C major / A minor and durations snapped onto the vocabulary grid.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .encoding import NoteVocabulary
@@ -18,15 +20,13 @@ log = logging.getLogger(__name__)
 
 NOTE_ON = "note_on"
 NOTE_OFF = "note_off"
-TEMPO = "tempo"
 TIME_SIGNATURE = "time_signature"
 KEY_SIGNATURE = "key_signature"
-OTHER = "other"
 
 DEFAULT_DIVISION = 480
 DEFAULT_TEMPO_US = 500_000  # 120 BPM; tempo never affects the metric encoding
 
-_META_KINDS = {0x51: TEMPO, 0x58: TIME_SIGNATURE, 0x59: KEY_SIGNATURE}
+_META_KINDS = {0x58: TIME_SIGNATURE, 0x59: KEY_SIGNATURE}  # other meta events are skipped
 _CHANNEL_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
 
 
@@ -54,14 +54,10 @@ class RawTrackEvent:
 
 @dataclass(frozen=True)
 class ParsedMidi:
-    division: int
-    tracks: tuple[tuple[RawTrackEvent, ...], ...]
+    """Ticks per quarter note, and every track's events in tick order (stable across tracks)."""
 
-    def merged_events(self) -> list[RawTrackEvent]:
-        """All tracks interleaved in tick order (stable across tracks)."""
-        merged = [ev for track in self.tracks for ev in track]
-        merged.sort(key=lambda ev: ev.tick)
-        return merged
+    division: int
+    events: tuple[RawTrackEvent, ...]
 
 
 class _Reader:
@@ -104,7 +100,7 @@ class _Reader:
 
 
 def parse_midi(data: bytes) -> ParsedMidi:
-    """Decode SMF bytes into per-track events with absolute ticks."""
+    """Decode SMF bytes into the events ingest reads, at absolute ticks."""
     reader = _Reader(data)
     if reader.remaining() < 4 or reader.read_bytes(4) != b"MThd":
         raise MidiParseError("missing MThd header chunk", 0)
@@ -121,12 +117,11 @@ def parse_midi(data: bytes) -> ParsedMidi:
     if division == 0:
         raise MidiParseError("division must be positive", 12)
 
-    tracks = []
-    while len(tracks) < ntrks:
+    events: list[RawTrackEvent] = []
+    found = 0
+    while found < ntrks:
         if reader.remaining() < 8:
-            raise MidiParseError(
-                f"expected {ntrks} tracks, found {len(tracks)}", reader.pos
-            )
+            raise MidiParseError(f"expected {ntrks} tracks, found {found}", reader.pos)
         chunk_id = reader.read_bytes(4)
         chunk_len = reader.read_u32()
         if reader.remaining() < chunk_len:
@@ -136,10 +131,11 @@ def parse_midi(data: bytes) -> ParsedMidi:
         if chunk_id != b"MTrk":
             reader.pos += chunk_len  # unknown chunks are skipped, per the SMF spec
             continue
-        track_reader = _Reader(reader.data, reader.pos, reader.pos + chunk_len)
-        tracks.append(tuple(_parse_track(track_reader)))
+        events += _parse_track(_Reader(reader.data, reader.pos, reader.pos + chunk_len))
+        found += 1
         reader.pos += chunk_len
-    return ParsedMidi(division=division, tracks=tuple(tracks))
+    events.sort(key=lambda ev: ev.tick)  # stable: tracks stay in file order at one tick
+    return ParsedMidi(division=division, events=tuple(events))
 
 
 def _parse_track(reader: _Reader) -> list[RawTrackEvent]:
@@ -160,9 +156,8 @@ def _parse_track(reader: _Reader) -> list[RawTrackEvent]:
             payload = reader.read_bytes(reader.read_vlq())
             if meta_type == 0x2F:  # end of track
                 break
-            events.append(
-                RawTrackEvent(tick, _META_KINDS.get(meta_type, OTHER), payload=payload)
-            )
+            if meta_type in _META_KINDS:
+                events.append(RawTrackEvent(tick, _META_KINDS[meta_type], payload=payload))
         elif status in (0xF0, 0xF7):  # sysex: skipped, cancels running status
             running_status = None
             reader.read_bytes(reader.read_vlq())
@@ -181,7 +176,7 @@ def _parse_track(reader: _Reader) -> list[RawTrackEvent]:
     return events
 
 
-def first_time_signature(events: list[RawTrackEvent]) -> tuple[int, int] | None:
+def first_time_signature(events: Sequence[RawTrackEvent]) -> tuple[int, int] | None:
     """First declared time signature as (numerator, denominator), if any."""
     for ev in events:
         if ev.kind == TIME_SIGNATURE and len(ev.payload) >= 2:
@@ -189,7 +184,7 @@ def first_time_signature(events: list[RawTrackEvent]) -> tuple[int, int] | None:
     return None
 
 
-def first_key_signature(events: list[RawTrackEvent]) -> Key | None:
+def first_key_signature(events: Sequence[RawTrackEvent]) -> Key | None:
     """First declared key signature decoded to tonic pitch class + mode."""
     for ev in events:
         if ev.kind == KEY_SIGNATURE and len(ev.payload) >= 2:
@@ -202,7 +197,7 @@ def first_key_signature(events: list[RawTrackEvent]) -> Key | None:
     return None
 
 
-def extract_melody(events: list[RawTrackEvent]) -> Melody:
+def extract_melody(events: Sequence[RawTrackEvent]) -> Melody:
     """Reduce note events to a monophonic melody, keeping the highest note.
 
     A note starting while an equal-or-higher note sounds is dropped; a
@@ -243,7 +238,7 @@ def monophonic_spans(spans: list[tuple[int, int, int]]) -> list[tuple[int, int, 
     return [(on, off, pitch) for on, off, pitch in surviving if off > on]
 
 
-def _note_spans(events: list[RawTrackEvent]) -> list[tuple[int, int, int]]:
+def _note_spans(events: Sequence[RawTrackEvent]) -> list[tuple[int, int, int]]:
     """Pair note-ons with note-offs (FIFO per pitch) into (on, off, pitch)."""
     open_notes: dict[int, list[int]] = {}
     spans: list[tuple[int, int, int]] = []

@@ -354,8 +354,8 @@ def fit(
     plateau_patience: int,
     plateau_threshold: float,
     clip_norm: float,
-) -> tuple[LstmParams, list[float]]:
-    """Train in shuffled mini-batches; returns the params and per-epoch losses.
+) -> tuple[LstmParams, list[float], int]:
+    """Train in shuffled mini-batches; returns the params, per-epoch losses and kept epoch.
 
     ``contexts`` is (N, W, K) integer hot columns (see ``one_hot``); each
     mini-batch is expanded to dense (B, W, E) inputs only for its gradient.
@@ -367,14 +367,14 @@ def fit(
     the overflow and invalid-value warnings numpy would print on the way
     there are silenced, so that error is the only report of a divergence.
 
-    The returned params are those at the end of the best epoch (see
-    ``best_epoch``), the one that last lowered the best loss by more than
-    ``plateau_threshold``: Adam's loss can spike after it, and a run must not
-    end on weights the stop rule has judged worse. They are written back into
-    ``params`` in place. The trace still holds the loss of every epoch run,
-    so ``trace[-1]`` is the last epoch's loss, not necessarily that of the
-    returned weights. A ``plateau_threshold`` that is not finite and >= 0
-    raises ``ValueError``.
+    The returned params are those at the end of the kept epoch (counted from
+    1, 0 when no epoch ran): the last epoch that beat the best earlier loss
+    by more than ``plateau_threshold``. Adam's loss can spike after it, and a
+    run must not end on weights the stop rule has judged worse. They are
+    written back into ``params`` in place. The trace still holds the loss of
+    every epoch run, so ``trace[-1]`` is the last epoch's loss and
+    ``trace[kept - 1]`` that of the returned weights. A ``plateau_threshold``
+    that is not finite and >= 0 raises ``ValueError``.
     """
     n = len(contexts)
     if n == 0:
@@ -386,8 +386,8 @@ def fit(
 
     adam = init_adam(params, lr=learning_rate)
     trace: list[float] = []
-    best, best_params = 0, None
-    for _ in range(epochs):
+    best_loss, kept, kept_params = np.inf, 0, None
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         total = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -402,32 +402,16 @@ def fit(
                 total += batch_loss * len(batch)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
-            raise ValueError(f"training diverged: epoch {len(trace) + 1} loss is {epoch_loss}")
+            raise ValueError(f"training diverged: epoch {epoch} loss is {epoch_loss}")
         trace.append(epoch_loss)
-        best = best_epoch(trace, plateau_threshold)
-        if best == len(trace):
-            best_params = params.copy()
-        elif len(trace) - best >= plateau_patience:
+        if best_loss - epoch_loss > plateau_threshold:
+            best_loss, kept, kept_params = epoch_loss, epoch, params.copy()
+        elif epoch - kept >= plateau_patience:
             break
-    if best < len(trace):
+    if kept < len(trace):
         for name, arr in params.tensors():
-            arr[...] = getattr(best_params, name)
-    return params, trace
-
-
-def best_epoch(trace: list[float], plateau_threshold: float) -> int:
-    """The epoch (from 1) whose weights ``fit`` returns, given its loss trace.
-
-    It is the last epoch that beat the best earlier loss by more than
-    ``plateau_threshold``. Under the finite threshold >= 0 and finite losses
-    that ``fit`` allows, the first epoch always does, so only an empty trace
-    gives 0.
-    """
-    best, epoch = np.inf, 0
-    for k, epoch_loss in enumerate(trace, 1):
-        if best - epoch_loss > plateau_threshold:
-            best, epoch = epoch_loss, k
-    return epoch
+            arr[...] = getattr(kept_params, name)
+    return params, trace, kept
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class Seeds:
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
             if value < 0:
-                raise ValueError(f"seed {name} must be >= 0, got {value}")
+                raise ValueError(f"{_config_key(name)} must be >= 0, got {value}")
 
 
 @dataclass
@@ -86,20 +86,18 @@ class RunConfig:
     mix_conjunction_filter: bool = False
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        for name in ("hidden_size", "batch_size", "epochs", "plateau_patience",
+        for name in ("window", "hidden_size", "batch_size", "epochs", "plateau_patience",
                      "phase1_notes", "phase2_notes", "resample_cap"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{_config_key(name)} must be >= 1")
         for name in ("learning_rate", "plateau_threshold", "clip_norm"):
             if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{_config_key(name)} must be finite")
         for name in ("learning_rate", "clip_norm"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+                raise ValueError(f"{_config_key(name)} must be > 0")
         if self.plateau_threshold < 0:
-            raise ValueError("plateau_threshold must be >= 0")
+            raise ValueError(f"{_config_key('plateau_threshold')} must be >= 0")
 
 
 # The config file's blocks and keys, the one list of them. A ``vocabulary``
@@ -113,6 +111,11 @@ CONFIG_KEYS = {
     "generation": ("phase1_notes", "phase2_notes", "resample_cap", "mix_conjunction_filter"),
     "seeds": ("init", "shuffle", "phase1", "public"),
 }
+
+
+def _config_key(name: str) -> str:
+    """The config-file key of a field, block included, e.g. ``model.window``."""
+    return next(f"{block}.{name}" for block, keys in CONFIG_KEYS.items() if name in keys)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -134,7 +137,9 @@ def config_from_dict(data: dict) -> RunConfig:
     An unknown block or key, or a value whose JSON type differs from its
     default's, raises ``ValueError`` naming the place, e.g.
     ``model.hidden_size: expected int, got 'big'``. An int is taken where the
-    default is a float; a bool is never taken for an int.
+    default is a float; a bool is never taken for an int. A value out of
+    range names its key too (``model.window must be >= 1``), and a
+    vocabulary out of range names its block.
     """
     defaults = config_to_dict(RunConfig())
     _check_block(data, CONFIG_KEYS, "")
@@ -146,9 +151,13 @@ def config_from_dict(data: dict) -> RunConfig:
             _check_type(value, defaults[block][key], f"{block}.{key}")
         merged[block] = {**defaults[block], **given}
 
-    vocab = merged.pop("vocabulary")
+    given_vocab = merged.pop("vocabulary")
+    try:
+        vocab = NoteVocabulary(**{**given_vocab, "durations": tuple(given_vocab["durations"])})
+    except ValueError as exc:
+        raise ValueError(f"vocabulary: {exc}") from None
     return RunConfig(
-        vocab=NoteVocabulary(**{**vocab, "durations": tuple(vocab["durations"])}),
+        vocab=vocab,
         seeds=Seeds(**merged.pop("seeds")),
         **{key: value for block in merged.values() for key, value in block.items()},
     )
@@ -202,11 +211,12 @@ def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> np.ndarray:
 
 def train_on_examples(
     windows: np.ndarray, cfg: RunConfig
-) -> tuple[network.LstmParams, list[float]]:
+) -> tuple[network.LstmParams, list[float], int]:
     """Train from a fresh initialization to a plateau.
 
-    Returns the weights of the best epoch (see ``network.fit``) and the loss
-    trace of every epoch run, so the trace may end past the best epoch.
+    Returns what ``network.fit`` returns: the weights of the kept epoch, the
+    loss trace of every epoch run (it may end past the kept epoch) and the
+    kept epoch.
     """
     contexts, pitch_targets, dur_targets = stack_examples(windows, cfg.vocab)
     params = network.init_params(
@@ -224,7 +234,8 @@ def train_on_examples(
     )
 
 
-def train_orig(corpus: list[Melody], cfg: RunConfig) -> tuple[network.LstmParams, list[float]]:
+def train_orig(corpus: list[Melody], cfg: RunConfig
+               ) -> tuple[network.LstmParams, list[float], int]:
     return train_on_examples(corpus_windows(corpus, cfg), cfg)
 
 
@@ -494,13 +505,12 @@ def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: b
         except midi.MidiParseError as exc:
             log.warning("rejected %s: %s", path.name, exc)
             continue
-        events = parsed.merged_events()
-        signature = midi.first_time_signature(events)
+        signature = midi.first_time_signature(parsed.events)
         if signature is not None and signature != (4, 4) and not allow_any_meter:
             log.warning("rejected %s: time signature %d/%d is not 4/4", path.name, *signature)
             continue
         try:
-            melody = midi.extract_melody(events)
+            melody = midi.extract_melody(parsed.events)
         except midi.EmptyMelodyError as exc:
             log.warning("rejected %s: %s", path.name, exc)
             continue
@@ -530,8 +540,8 @@ def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: b
 def train(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     """Train ``orig`` on the corpus windows into ``weights/orig.wts``."""
     windows = corpus_windows(corpus, cfg)
-    params, trace = train_on_examples(windows, cfg)
-    entry = _save_mode(run_dir, "orig", params, trace, windows, cfg)
+    params, trace, kept = train_on_examples(windows, cfg)
+    entry = _save_mode(run_dir, "orig", params, trace, kept, windows, cfg)
     update_manifest(run_dir, {
         "config": config_to_dict(cfg),
         "corpus": {
@@ -603,8 +613,8 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     modes = {}
     for mode in MODES[1:]:
         dataset = build_augmented_dataset(orig_windows, amended[mode], cfg)
-        params, trace = train_on_examples(dataset, cfg)
-        modes[mode] = _save_mode(run_dir, mode, params, trace, dataset, cfg)
+        params, trace, kept = train_on_examples(dataset, cfg)
+        modes[mode] = _save_mode(run_dir, mode, params, trace, kept, dataset, cfg)
     update_manifest(run_dir, {"modes": modes})
 
 
@@ -736,22 +746,28 @@ def _weights_meta(cfg: RunConfig) -> network.WeightsMeta:
 
 
 def load_checked_weights(run_dir: Path, mode: str, cfg: RunConfig) -> network.LstmParams:
-    """``weights/<mode>.wts``, refused unless its dimensions match the config."""
-    params, meta = network.load_weights(run_dir / "weights" / f"{mode}.wts")
-    network.check_compatible(meta, **vars(_weights_meta(cfg)))
+    """``weights/<mode>.wts``, refused unless its dimensions match the config.
+
+    Every ``WeightsFormatError``, a malformed file or a mismatch, names the file.
+    """
+    path = run_dir / "weights" / f"{mode}.wts"
+    try:
+        params, meta = network.load_weights(path)
+        network.check_compatible(meta, **vars(_weights_meta(cfg)))
+    except network.WeightsFormatError as exc:
+        raise network.WeightsFormatError(f"{path}: {exc}") from None
     return params
 
 
 def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list[float],
-               dataset: np.ndarray, cfg: RunConfig) -> dict:
-    """Save one weight set and return its manifest entry."""
+               kept: int, dataset: np.ndarray, cfg: RunConfig) -> dict:
+    """Save one weight set, that of epoch ``kept`` of ``trace``; return its manifest entry."""
     path = run_dir / "weights" / f"{mode}.wts"
     path.parent.mkdir(parents=True, exist_ok=True)
     network.save_weights(path, params, _weights_meta(cfg))
-    best = network.best_epoch(trace, cfg.plateau_threshold)
     log.info("trained %s on %d examples for %d epochs, final loss %.4f, "
              "kept epoch %d (loss %.4f)",
-             mode, len(dataset), len(trace), trace[-1], best, trace[best - 1])
+             mode, len(dataset), len(trace), trace[-1], kept, trace[kept - 1])
     return {
         "weights": str(path.relative_to(run_dir)),
         "weights_sha256": file_fingerprint(path),
@@ -759,6 +775,6 @@ def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list
         "dataset_size": len(dataset),
         "epochs_run": len(trace),
         "final_loss": trace[-1],
-        "best_epoch": best,
-        "best_loss": trace[best - 1],
+        "best_epoch": kept,
+        "best_loss": trace[kept - 1],
     }

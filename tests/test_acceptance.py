@@ -70,7 +70,7 @@ class TestMemorizationOracle:
         # The published learning rate (0.001) needs well over 300 epochs to
         # memorize 93 windows; a 10x rate overfits fast, which is the point
         # of this oracle.
-        _, trace = network.fit(
+        _, trace, _ = network.fit(
             params, X, yp, yd, vocab.pitch_count,
             epochs=300, batch_size=64, rng=network.make_rng(2), learning_rate=0.01,
             plateau_patience=10, plateau_threshold=1e-4, clip_norm=5.0,
@@ -93,7 +93,7 @@ def soundness_model():
     )
     rng = np.random.default_rng(7)
     corpus = [walk_melody(rng, vocab, 150) for _ in range(3)]
-    params, _ = pipeline.train_orig(corpus, cfg)
+    params, _, _ = pipeline.train_orig(corpus, cfg)
     seed_phrase = pipeline.default_seed_phrase(corpus, cfg)
     return cfg, params, seed_phrase
 
@@ -157,7 +157,7 @@ def directional_models():
         vocab=vocab, hidden_size=128, epochs=120, learning_rate=0.003,
         phase1_notes=5000, phase2_notes=5000,
     )
-    orig, _ = pipeline.train_orig(corpus, cfg)
+    orig, _, _ = pipeline.train_orig(corpus, cfg)
     seed_phrase = pipeline.default_seed_phrase(corpus, cfg)
     examples = pipeline.corpus_windows(corpus, cfg)
     models = {"orig": orig}
@@ -167,7 +167,7 @@ def directional_models():
             orig, seed_phrase, cfg.phase1_notes, frozenset({rule}), cfg, gen_rng
         )
         dataset = pipeline.build_augmented_dataset(examples, amended, cfg)
-        models[rule.value], _ = pipeline.train_on_examples(dataset, cfg)
+        models[rule.value], _, _ = pipeline.train_on_examples(dataset, cfg)
     return cfg, corpus, seed_phrase, models
 
 
@@ -251,7 +251,7 @@ class TestMidiRoundTrip:
             data = write_midi(melody)
             parsed = parse_midi(data)
             back = quantize_durations(
-                extract_melody(parsed.merged_events()), parsed.division, vocab
+                extract_melody(parsed.events), parsed.division, vocab
             )
             assert back.notes == melody.notes
         report("midi-round-trip", "100 melodies, write/parse/extract/quantize identity")

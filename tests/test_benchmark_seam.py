@@ -52,6 +52,28 @@ def test_stack_examples_returns_contexts_first():
     assert result[0].nbytes == len(windows) * cfg.window * 2 * 2
 
 
+@pytest.mark.parametrize("entry", ["network.fit", "pipeline.train_on_examples"])
+def test_training_result_holds_the_trace_then_the_kept_epoch(entry):
+    # The launcher's network.epochs counter reads len(result[1]) of
+    # network.fit, and its loss-trace check result[1] of train_on_examples.
+    cfg = tiny_config(epochs=3)
+    windows = pipeline.corpus_windows(tiny_corpus(cfg), cfg)
+    if entry == "network.fit":
+        params = network.init_params(cfg.vocab.dim, cfg.hidden_size, network.make_rng(0))
+        result = network.fit(
+            params, *encoding.stack_examples(windows, cfg.vocab), cfg.vocab.pitch_count,
+            epochs=cfg.epochs, batch_size=cfg.batch_size, rng=network.make_rng(1),
+            learning_rate=cfg.learning_rate, plateau_patience=cfg.plateau_patience,
+            plateau_threshold=cfg.plateau_threshold, clip_norm=cfg.clip_norm,
+        )
+    else:
+        result = pipeline.train_on_examples(windows, cfg)
+    trace, kept = result[1], result[2]
+    assert isinstance(trace, list) and len(trace) == 3
+    assert all(isinstance(loss, float) and np.isfinite(loss) for loss in trace)
+    assert type(kept) is int and 1 <= kept <= len(trace)
+
+
 def test_phase1_arguments_the_launcher_reads():
     # The launcher records args[1] (seed phrase) and args[3] (rules).
     names = list(inspect.signature(pipeline.phase1_generate).parameters)

@@ -14,7 +14,7 @@ import pytest
 from melogram import cli, pipeline
 from melogram.encoding import NoteVocabulary
 from melogram.midi import extract_melody, parse_midi, quantize_durations
-from melogram.notes import Key, NoteEvent
+from melogram.notes import Key, Melody, NoteEvent
 
 from conftest import random_melody
 from test_midi import off, on, smf
@@ -200,6 +200,23 @@ class TestStagedCommands:
         assert f"{first} and {paths[-1]} both map to report column" in caplog.text
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("short", ["melody", "corpus"])
+    def test_evaluate_names_the_file_too_short_to_count(self, tmp_path, caplog, short):
+        ok = tmp_path / "ok.json"
+        pipeline.save_melody(ok, [NoteEvent(60 + i, 4) for i in range(8)])
+        two = [NoteEvent(60, 4), NoteEvent(62, 4)]
+        if short == "melody":
+            bad = tmp_path / "short.json"
+            pipeline.save_melody(bad, two)
+            argv = ["evaluate", str(ok), str(bad)]
+        else:
+            bad = tmp_path / "corpus.json"
+            pipeline.save_corpus(bad, [Melody(notes=two)])
+            argv = ["evaluate", str(ok), "--corpus", str(bad)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert (f"{bad}: interval and triad statistics need a melody of at least three notes"
+                in caplog.text)
+
     def test_conjunction_filter_staged_path(self, tmp_path):
         config_data = json.loads(tiny_config_file(tmp_path).read_text())
         config_data["generation"] = {"phase1_notes": 40, "phase2_notes": 40,
@@ -259,7 +276,23 @@ class TestStagedCommands:
         code = cli.main(["generate", "--run-dir", str(run_dir), "--config", str(other_path),
                          "--mode", "orig", "-n", "10", "--corpus", str(corpus)])
         assert code == cli.EXIT_VALIDATION
-        assert "8" in caplog.text and "6" in caplog.text
+        path = run_dir / "weights" / "orig.wts"
+        assert f"{path}: hidden_size: weights file has 8, config wants 6" in caplog.text
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: b"garbage", "not a weights file (bad magic string)"),
+        (lambda data: data[:28], "weights file truncated at byte 28"),
+    ], ids=["garbage", "truncated"])
+    def test_corrupt_weights_file_is_named(self, tmp_path, caplog, damage, message):
+        config, corpus = tiny_config_file(tmp_path), write_corpus(tmp_path)
+        common = ["--corpus", str(corpus), "--config", str(config), "--run-dir"]
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", *common, str(run_dir)]) == 0
+        path = run_dir / "weights" / "orig.wts"
+        path.write_bytes(damage(path.read_bytes()))
+        assert cli.main(["amend", *common, str(run_dir)]) == cli.EXIT_VALIDATION
+        assert f"{path}: {message}" in caplog.text
+        assert not (run_dir / "amended").exists()
 
 
 class TestRunAll:
@@ -319,7 +352,7 @@ class TestExport:
         parsed = parse_midi(out.read_bytes())
         vocab = NoteVocabulary()
         melody = quantize_durations(
-            extract_melody(parsed.merged_events()), parsed.division, vocab
+            extract_melody(parsed.events), parsed.division, vocab
         )
         assert melody.notes == notes
 
@@ -376,14 +409,19 @@ class TestConfigHandling:
         ('{"model": {"window": true}}', "model.window: expected int, got True"),
         ('{"training": {"lr": 0.1}, "modle": {}}', "unknown keys: modle"),
         ('{"training": {"lr": 0.1}}', "unknown keys: training.lr"),
-        ('{"training": {"clip_norm": NaN}}', "clip_norm must be finite"),
-        ('{"training": {"plateau_patience": 0}}', "plateau_patience must be >= 1"),
-        ('{"training": {"clip_norm": 0}}', "clip_norm must be > 0"),
-        ('{"training": {"plateau_threshold": -0.5}}', "plateau_threshold must be >= 0"),
-        ('{"seeds": {"public": -1}}', "seed public must be >= 0, got -1"),
+        ('{"training": {"clip_norm": NaN}}', "training.clip_norm must be finite"),
+        ('{"training": {"plateau_patience": 0}}', "training.plateau_patience must be >= 1"),
+        ('{"training": {"clip_norm": 0}}', "training.clip_norm must be > 0"),
+        ('{"training": {"plateau_threshold": -0.5}}', "training.plateau_threshold must be >= 0"),
+        ('{"seeds": {"public": -1}}', "seeds.public must be >= 0, got -1"),
+        ('{"model": {"window": 0}}', "model.window must be >= 1"),
+        ('{"generation": {"resample_cap": 0}}', "generation.resample_cap must be >= 1"),
+        ('{"vocabulary": {"pitch_lo": 60, "pitch_hi": 64}}',
+         "vocabulary: pitch range must span at least 13 semitones, got 5"),
     ], ids=["top-level-list", "hidden-size-str", "durations-int", "epochs-float", "seed-str",
             "block-list", "window-bool", "unknown-block", "unknown-key", "clip-norm-nan",
-            "patience-zero", "clip-norm-zero", "threshold-negative", "seed-negative"])
+            "patience-zero", "clip-norm-zero", "threshold-negative", "seed-negative",
+            "window-zero", "resample-cap-zero", "vocabulary-range"])
     def test_config_schema_error_names_file_and_key(self, tmp_path, caplog, text, message):
         path = tmp_path / "c.json"
         path.write_text(text)

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from melogram.encoding import default_vocabulary
 from melogram.midi import (
     EmptyMelodyError,
+    KEY_SIGNATURE,
     MidiParseError,
     NOTE_OFF,
     NOTE_ON,
     RawTrackEvent,
+    TIME_SIGNATURE,
     extract_melody,
     first_key_signature,
     first_time_signature,
@@ -71,13 +73,13 @@ class TestParseMidi:
         data = smf([(0, on(60)), (480, off(60))])
         parsed = parse_midi(data)
         assert parsed.division == 480
-        melody = extract_melody(parsed.merged_events())
+        melody = extract_melody(parsed.events)
         melody = quantize_durations(melody, parsed.division, VOCAB)
         assert melody.notes == [NoteEvent(60, 4)]
 
     def test_velocity_zero_note_on_is_note_off(self):
         data = smf([(0, on(60)), (480, bytes([0x90, 60, 0]))])
-        events = parse_midi(data).merged_events()
+        events = parse_midi(data).events
         kinds = [(ev.kind, ev.pitch) for ev in events if ev.kind in (NOTE_ON, NOTE_OFF)]
         assert kinds == [(NOTE_ON, 60), (NOTE_OFF, 60)]
 
@@ -109,12 +111,12 @@ class TestParseMidi:
         # Second note-on omits the status byte.
         events = [(0, on(60)), (120, bytes([62, 64])), (120, off(60)), (0, off(62))]
         parsed = parse_midi(smf(events))
-        ons = [ev.pitch for ev in parsed.tracks[0] if ev.kind == NOTE_ON]
+        ons = [ev.pitch for ev in parsed.events if ev.kind == NOTE_ON]
         assert ons == [60, 62]
 
     def test_absolute_ticks_accumulate(self):
         parsed = parse_midi(smf([(10, on(60)), (20, off(60)), (30, on(62)), (5, off(62))]))
-        ticks = [ev.tick for ev in parsed.tracks[0]]
+        ticks = [ev.tick for ev in parsed.events]
         assert ticks == [10, 30, 60, 65]
 
     def test_meta_events_decoded(self):
@@ -125,19 +127,43 @@ class TestParseMidi:
             (0, on(60)),
             (480, off(60)),
         ]
-        merged = parse_midi(smf(events)).merged_events()
-        assert first_time_signature(merged) == (4, 4)
-        assert first_key_signature(merged) == Key(2, "major")  # two sharps
+        parsed = parse_midi(smf(events))
+        assert first_time_signature(parsed.events) == (4, 4)
+        assert first_key_signature(parsed.events) == Key(2, "major")  # two sharps
+        # The tempo event is read past, not kept.
+        assert [ev.kind for ev in parsed.events] == [
+            TIME_SIGNATURE, KEY_SIGNATURE, NOTE_ON, NOTE_OFF,
+        ]
+
+    def test_tracks_merge_in_tick_order_stable_across_tracks(self):
+        def track(events):
+            body = b"".join(vlq(delta) + payload for delta, payload in events)
+            body += vlq(0) + b"\xff\x2f\x00"
+            return b"MTrk" + len(body).to_bytes(4, "big") + body
+
+        data = (
+            b"MThd" + (6).to_bytes(4, "big") + (1).to_bytes(2, "big")
+            + (2).to_bytes(2, "big") + (480).to_bytes(2, "big")
+            + track([(0, on(72)), (240, off(72)), (0, on(74)), (240, off(74))])
+            + track([(0, on(48)), (240, off(48)), (240, on(50)), (240, off(50))])
+        )
+        events = [(ev.tick, ev.kind, ev.pitch) for ev in parse_midi(data).events]
+        assert events == [
+            (0, NOTE_ON, 72), (0, NOTE_ON, 48),
+            (240, NOTE_OFF, 72), (240, NOTE_ON, 74), (240, NOTE_OFF, 48),
+            (480, NOTE_OFF, 74), (480, NOTE_ON, 50),
+            (720, NOTE_OFF, 50),
+        ]
 
     def test_key_signature_relative_minor(self):
         events = [(0, bytes([0xFF, 0x59, 0x02, 0, 1])), (0, on(60)), (480, off(60))]
-        merged = parse_midi(smf(events)).merged_events()
-        assert first_key_signature(merged) == Key(9, "minor")  # no accidentals, minor
+        decoded = parse_midi(smf(events)).events
+        assert first_key_signature(decoded) == Key(9, "minor")  # no accidentals, minor
 
     def test_flat_key_signature(self):
         events = [(0, bytes([0xFF, 0x59, 0x02, 0xFE, 0])), (0, on(60)), (480, off(60))]
-        merged = parse_midi(smf(events)).merged_events()
-        assert first_key_signature(merged) == Key(10, "major")  # two flats = Bb
+        decoded = parse_midi(smf(events)).events
+        assert first_key_signature(decoded) == Key(10, "major")  # two flats = Bb
 
 
 class TestExtractMelody:
@@ -176,7 +202,7 @@ class TestExtractMelody:
 
     def test_no_notes_is_error(self):
         with pytest.raises(EmptyMelodyError):
-            extract_melody([RawTrackEvent(0, "tempo", payload=b"\x07\xa1\x20")])
+            extract_melody([RawTrackEvent(0, KEY_SIGNATURE, payload=b"\x00\x00")])
 
     def test_output_never_overlaps(self):
         rng = np.random.default_rng(11)
@@ -291,7 +317,7 @@ class TestWriteMidi:
         data = write_midi(Melody(notes=[NoteEvent(81, 4)]))
         parsed = parse_midi(data)
         melody = quantize_durations(
-            extract_melody(parsed.merged_events()), parsed.division, VOCAB
+            extract_melody(parsed.events), parsed.division, VOCAB
         )
         assert melody.notes == [NoteEvent(81, 4)]
 
@@ -305,7 +331,7 @@ class TestWriteMidi:
         assert len(data) < 200
         parsed = parse_midi(data)
         melody = quantize_durations(
-            extract_melody(parsed.merged_events()), parsed.division, VOCAB
+            extract_melody(parsed.events), parsed.division, VOCAB
         )
         assert melody.notes == notes
 
@@ -325,7 +351,7 @@ class TestWriteMidi:
         raw = write_midi(Melody(notes=notes))
         parsed = parse_midi(raw)
         melody = quantize_durations(
-            extract_melody(parsed.merged_events()), parsed.division, VOCAB
+            extract_melody(parsed.events), parsed.division, VOCAB
         )
         assert melody.notes == notes
 

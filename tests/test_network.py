@@ -423,9 +423,9 @@ class TestFit:
         params = init_params(12, 6, rng)
         snapshot = params.copy()
         X, yp, yd = self._toy_data(rng)
-        trained, trace = fit(params, X, yp, yd, 8, epochs=0, batch_size=8, rng=make_rng(3),
-                             **TRAINING)
-        assert trace == []
+        trained, trace, kept = fit(params, X, yp, yd, 8, epochs=0, batch_size=8,
+                                   rng=make_rng(3), **TRAINING)
+        assert trace == [] and kept == 0
         assert max_relative_error(trained, snapshot) == 0.0
 
     def test_non_finite_loss_names_the_epoch(self):
@@ -451,8 +451,8 @@ class TestFit:
         runs = []
         for _ in range(2):
             params = init_params(12, 6, make_rng(1))
-            _, trace = fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(2),
-                           **TRAINING)
+            _, trace, _ = fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(2),
+                              **TRAINING)
             runs.append((params, trace))
         assert runs[0][1] == runs[1][1]
         assert max_relative_error(runs[0][0], runs[1][0]) == 0.0
@@ -461,7 +461,7 @@ class TestFit:
         rng = make_rng(6)
         X, yp, yd = self._toy_data(rng, n=16)
         params = init_params(12, 4, rng)
-        _, trace = fit(
+        _, trace, _ = fit(
             params, X, yp, yd, 8, epochs=500, batch_size=16, rng=make_rng(4),
             **{**TRAINING, "learning_rate": 0.0, "plateau_patience": 5},
         )
@@ -472,8 +472,8 @@ class TestFit:
         rng = make_rng(8)
         X, yp, yd = self._toy_data(rng, n=64)
         params = init_params(12, 8, rng)
-        _, trace = fit(params, X, yp, yd, 8, epochs=40, batch_size=16, rng=make_rng(9),
-                       **{**TRAINING, "learning_rate": 0.01})
+        _, trace, _ = fit(params, X, yp, yd, 8, epochs=40, batch_size=16, rng=make_rng(9),
+                          **{**TRAINING, "learning_rate": 0.01})
         assert min(trace) < trace[0]
         best_so_far = np.minimum.accumulate(trace)
         assert all(b <= a for a, b in zip(best_so_far, best_so_far[1:]))
@@ -488,14 +488,14 @@ class TestFit:
             rng = make_rng(2)
             X, yp, yd = self._toy_data(rng, n=32)
             params = init_params(12, 6, rng)
-            trained, trace = fit(
+            trained, trace, kept = fit(
                 params, X, yp, yd, 8, epochs=epochs, batch_size=8, rng=make_rng(102),
                 **{**TRAINING, "learning_rate": 0.2, "plateau_patience": patience},
             )
             assert trained is params  # restored in place
-            return trained, trace
+            return trained, trace, kept
 
-        trained, trace = run(20)
+        trained, trace, kept = run(20)
         assert len(trace) == epochs_run
         best, best_epoch = np.inf, None
         for epoch, epoch_loss in enumerate(trace):
@@ -503,10 +503,11 @@ class TestFit:
                 best, best_epoch = epoch_loss, epoch
         tail = trace[best_epoch + 1 :]
         assert tail and all(epoch_loss > best for epoch_loss in tail)
-        assert nw.best_epoch(trace, 1e-4) == best_epoch + 1
+        assert kept == best_epoch + 1
 
-        reference, reference_trace = run(best_epoch + 1)
+        reference, reference_trace, reference_kept = run(best_epoch + 1)
         assert reference_trace == trace[: best_epoch + 1]
+        assert reference_kept == kept
         for name, arr in trained.tensors():
             assert arr.tobytes() == getattr(reference, name).tobytes(), name
 

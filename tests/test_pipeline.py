@@ -60,7 +60,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("name", ["learning_rate", "clip_norm", "plateau_threshold"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_rates(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"training.{name} must be finite"):
             pipeline.RunConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value, message", [
@@ -77,7 +77,7 @@ class TestRunConfig:
         assert pipeline.RunConfig(plateau_threshold=0.0).plateau_threshold == 0.0
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed shuffle must be >= 0"):
+        with pytest.raises(ValueError, match="seeds.shuffle must be >= 0"):
             pipeline.Seeds(shuffle=-1)
 
     def test_config_dict_round_trip(self):
@@ -112,8 +112,8 @@ class TestTrainDeterminism:
     def test_identical_seeds_identical_weights(self):
         cfg = tiny_config()
         corpus = tiny_corpus(cfg)
-        a, trace_a = pipeline.train_orig(corpus, cfg)
-        b, trace_b = pipeline.train_orig(corpus, cfg)
+        a, trace_a, _ = pipeline.train_orig(corpus, cfg)
+        b, trace_b, _ = pipeline.train_orig(corpus, cfg)
         assert trace_a == trace_b
         for (_, arr_a), (_, arr_b) in zip(a.tensors(), b.tensors()):
             assert np.array_equal(arr_a, arr_b)
@@ -122,8 +122,8 @@ class TestTrainDeterminism:
         cfg = tiny_config()
         corpus = tiny_corpus(cfg)
         examples = pipeline.corpus_windows(corpus, cfg)
-        orig, _ = pipeline.train_on_examples(examples, cfg)
-        again, _ = pipeline.train_on_examples(
+        orig, _, _ = pipeline.train_on_examples(examples, cfg)
+        again, _, _ = pipeline.train_on_examples(
             pipeline.build_augmented_dataset(examples, [], cfg), cfg
         )
         for (_, arr_a), (_, arr_b) in zip(orig.tensors(), again.tensors()):
@@ -152,7 +152,7 @@ class TestPhase1Generate:
     def _setup(self, rules=frozenset({Rule.DIA}), n=60):
         cfg = tiny_config(epochs=2)
         corpus = tiny_corpus(cfg)
-        params, _ = pipeline.train_orig(corpus, cfg)
+        params, _, _ = pipeline.train_orig(corpus, cfg)
         seed_phrase = pipeline.default_seed_phrase(corpus, cfg)
         rng = network.make_rng(7)
         notes, amended = pipeline.phase1_generate(params, seed_phrase, n, rules, cfg, rng)
@@ -166,7 +166,7 @@ class TestPhase1Generate:
         cfg, seed_phrase, notes, amended = self._setup(rules=frozenset(), n=60)
         assert amended == []
         # With no rule to reject a draw, the filtered stream draws as the free one.
-        params, _ = pipeline.train_orig(tiny_corpus(cfg), cfg)
+        params, _, _ = pipeline.train_orig(tiny_corpus(cfg), cfg)
         assert notes == pipeline.phase2_generate(params, seed_phrase, 60, cfg, network.make_rng(7))
 
     def test_every_note_conforms_dia(self):
@@ -285,7 +285,7 @@ class TestPhase2Generate:
     def test_exact_length(self):
         cfg = tiny_config(epochs=2)
         corpus = tiny_corpus(cfg)
-        params, _ = pipeline.train_orig(corpus, cfg)
+        params, _, _ = pipeline.train_orig(corpus, cfg)
         seed_phrase = pipeline.default_seed_phrase(corpus, cfg)
         notes = pipeline.phase2_generate(params, seed_phrase, 50, cfg, network.make_rng(3))
         assert len(notes) == 50
@@ -293,7 +293,7 @@ class TestPhase2Generate:
     def test_never_touches_grammar_predicates(self, monkeypatch):
         cfg = tiny_config(epochs=2)
         corpus = tiny_corpus(cfg)
-        params, _ = pipeline.train_orig(corpus, cfg)
+        params, _, _ = pipeline.train_orig(corpus, cfg)
         seed_phrase = pipeline.default_seed_phrase(corpus, cfg)
 
         def forbidden(*args, **kwargs):
@@ -308,7 +308,7 @@ class TestPhase2Generate:
     def test_differs_from_filtered_stream_when_amended(self):
         cfg = tiny_config(epochs=2)
         corpus = tiny_corpus(cfg)
-        params, _ = pipeline.train_orig(corpus, cfg)
+        params, _, _ = pipeline.train_orig(corpus, cfg)
         seed_phrase = pipeline.default_seed_phrase(corpus, cfg)
         free = pipeline.phase2_generate(params, seed_phrase, 100, cfg, network.make_rng(5))
         filtered, amended = pipeline.phase1_generate(
@@ -320,7 +320,7 @@ class TestPhase2Generate:
     def test_shared_seed_same_output_per_params(self):
         cfg = tiny_config(epochs=2)
         corpus = tiny_corpus(cfg)
-        params, _ = pipeline.train_orig(corpus, cfg)
+        params, _, _ = pipeline.train_orig(corpus, cfg)
         seed_phrase = pipeline.default_seed_phrase(corpus, cfg)
         a = pipeline.phase2_generate(params, seed_phrase, 30, cfg, network.make_rng(42))
         b = pipeline.phase2_generate(params, seed_phrase, 30, cfg, network.make_rng(42))
@@ -358,7 +358,7 @@ class TestGenerationMatchesOneShotLoop:
     def trained(self):
         cfg = tiny_config(epochs=2)
         corpus = tiny_corpus(cfg)
-        params, _ = pipeline.train_orig(corpus, cfg)
+        params, _, _ = pipeline.train_orig(corpus, cfg)
         return cfg, params, pipeline.default_seed_phrase(corpus, cfg)
 
     def test_phase2_same_notes(self, trained):
