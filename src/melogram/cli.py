@@ -13,8 +13,9 @@ The ``--config`` file is the only source of config values; keys it omits
 keep their defaults. Exit codes: 0 success, 2 validation failure (a config
 error included: an unknown key, a wrong JSON type or a value out of range,
 each message starting with the file, e.g. ``c.json: model.window: expected
-int, got 'x'``), 3 parse failure (a config file that is not valid JSON
-included), 4 unexpected runtime failure.
+int, got 'x'``; a path that is missing, of the wrong kind or not readable),
+3 parse failure (any input file that is not valid JSON or not UTF-8, and a
+manifest that is not a JSON object, each named), 4 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import grammar, metrics, midi, network, pipeline
+from . import grammar, metrics, midi, pipeline
 from .notes import Key, Melody, NoteEvent
 
 log = logging.getLogger("melogram")
@@ -37,21 +38,10 @@ EXIT_RUNTIME = 4
 
 
 def load_config(path: str | None) -> pipeline.RunConfig:
-    """Load and validate a config file; missing path means all defaults.
-
-    Every error names the file: invalid JSON raises ``InputFormatError``, any
-    other config error ``ValueError``.
-    """
+    """The config file at ``path``, every error naming it; no path means all defaults."""
     if path is None:
         return pipeline.RunConfig()
-    try:
-        data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise pipeline.InputFormatError(f"{path}: not valid JSON: {exc}") from None
-    try:
-        return pipeline.config_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return pipeline.load_json(Path(path), pipeline.config_from_dict)
 
 
 def parse_seed_phrase(text: str) -> list[NoteEvent]:
@@ -119,20 +109,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _report(source: str, evaluate, notes) -> metrics.MetricsReport:
-    """``evaluate(notes)``, any error prefixed by ``source``, the file the notes came from."""
-    try:
-        return evaluate(notes)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-
-
 def cmd_evaluate(args) -> int:
     reports: dict[str, metrics.MetricsReport] = {}
     sources: dict[str, str] = {}  # report column -> the file it came from
     if args.corpus:
         corpus = pipeline.load_corpus(Path(args.corpus))
-        reports["DS"] = _report(args.corpus, metrics.evaluate_many, [m.notes for m in corpus])
+        with pipeline.naming(args.corpus):
+            reports["DS"] = metrics.evaluate_many([m.notes for m in corpus])
         sources["DS"] = args.corpus
     for path_text in args.melodies:
         path = Path(path_text)
@@ -141,7 +124,9 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"{sources[label]} and {path_text} both map to "
                              f"report column {label!r}")
         sources[label] = path_text
-        reports[label] = _report(path_text, metrics.evaluate, pipeline.load_melody(path))
+        notes = pipeline.load_melody(path)
+        with pipeline.naming(path_text):
+            reports[label] = metrics.evaluate(notes)
     if args.out:
         table = pipeline.write_report(reports, Path(args.out))
     else:
@@ -152,9 +137,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_export(args) -> int:
     notes = pipeline.load_melody(Path(args.melody))
-    data = midi.write_midi(
-        Melody(notes=notes), division=args.division, tempo_us=args.tempo_us
-    )
+    with pipeline.naming(args.melody):
+        data = midi.write_midi(Melody(notes=notes))
     Path(args.out).write_bytes(data)
     log.info("wrote %d bytes to %s", len(data), args.out)
     return EXIT_OK
@@ -207,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("amend", help="filtered generation that harvests amended pairs")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", help="corpus to take the default seed phrase from")
     p.add_argument("--config")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--rules", help="comma-separated subset of dia,spi,tri (default all)")
@@ -240,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write a melody file as a MIDI file")
     p.add_argument("melody")
     p.add_argument("--out", required=True)
-    p.add_argument("--division", type=int, default=midi.DEFAULT_DIVISION)
-    p.add_argument("--tempo-us", type=int, default=midi.DEFAULT_TEMPO_US)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("run-all", help="full five-mode experiment into a run directory")
@@ -267,14 +249,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (midi.MidiParseError, pipeline.InputFormatError,
-            json.JSONDecodeError) as exc:
+    except pipeline.InputFormatError as exc:
         log.error("%s", exc)
         return EXIT_PARSE
     except pipeline.CorpusNoteError as exc:
         log.error("%s: %s", args.corpus, exc)
         return EXIT_VALIDATION
-    except (ValueError, network.WeightsFormatError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:  # bad paths; a full disk is no bad input
         log.error("%s", exc)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - last-resort CLI guard

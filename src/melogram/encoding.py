@@ -159,15 +159,19 @@ def make_training_windows(
     Returns an int16 array of shape (N, window + 1, 2): row k holds the
     (pitch slot, duration slot) pairs of notes k .. k + window, the context
     then the target. Every note is encoded, so a note outside the vocabulary
-    raises ``EncodingError`` even in a melody shorter than ``window + 1``
-    notes, which yields no rows. Windows never cross melody boundaries
-    because each melody is processed on its own.
+    raises ``EncodingError``, located as ``[j]: ...``, even in a melody
+    shorter than ``window + 1`` notes, which yields no rows. Windows never
+    cross melody boundaries because each melody is processed on its own.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    slots = np.array(
-        [note_indices(note, vocab) for note in melody.notes], dtype=np.int16
-    ).reshape(-1, 2)
+    pairs = []
+    for j, note in enumerate(melody.notes):
+        try:
+            pairs.append(note_indices(note, vocab))
+        except EncodingError as exc:
+            raise EncodingError(f"[{j}]: {exc}") from None
+    slots = np.array(pairs, dtype=np.int16).reshape(-1, 2)
     starts = np.arange(len(slots) - window)
     return slots[starts[:, None] + np.arange(window + 1)]
 

@@ -23,8 +23,8 @@ NOTE_OFF = "note_off"
 TIME_SIGNATURE = "time_signature"
 KEY_SIGNATURE = "key_signature"
 
-DEFAULT_DIVISION = 480
-DEFAULT_TEMPO_US = 500_000  # 120 BPM; tempo never affects the metric encoding
+DIVISION = 480  # ticks per quarter note of every written file
+TEMPO_US = 500_000  # 120 BPM; tempo never affects the metric encoding
 
 _META_KINDS = {0x58: TIME_SIGNATURE, 0x59: KEY_SIGNATURE}  # other meta events are skipped
 _CHANNEL_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
@@ -355,25 +355,19 @@ def _vlq(value: int) -> bytes:
     return bytes(reversed(out))
 
 
-def write_midi(
-    melody: Melody,
-    division: int = DEFAULT_DIVISION,
-    tempo_us: int = DEFAULT_TEMPO_US,
-) -> bytes:
+def write_midi(melody: Melody) -> bytes:
     """Serialize a quantized melody as a format-0 SMF, notes back-to-back.
 
-    Durations are interpreted as sixteenth-note units, so ``division`` must
-    be a multiple of 4. Re-parsing, extracting and quantizing the output
-    reproduces the melody exactly.
+    Durations are sixteenth-note units, written at ``DIVISION`` ticks per
+    quarter note and ``TEMPO_US`` microseconds per quarter note. Re-parsing,
+    extracting and quantizing the output reproduces the melody exactly. An
+    empty melody raises ``ValueError``.
     """
     if not melody.notes:
         raise ValueError("cannot write an empty melody")
-    if division % 4 != 0 or division <= 0:
-        raise ValueError(f"division must be a positive multiple of 4, got {division}")
 
-    ticks_per_sixteenth = division // 4
     track = bytearray()
-    track += _vlq(0) + bytes([0xFF, 0x51, 0x03]) + tempo_us.to_bytes(3, "big")
+    track += _vlq(0) + bytes([0xFF, 0x51, 0x03]) + TEMPO_US.to_bytes(3, "big")
     track += _vlq(0) + bytes([0xFF, 0x58, 0x04, 4, 2, 24, 8])  # 4/4
     key = melody.source_key or C_MAJOR
     sharps = _SHARPS_FOR_TONIC[(key.tonic - (9 if key.mode == "minor" else 0)) % 12]
@@ -382,11 +376,11 @@ def write_midi(
     )
     for note in melody.notes:
         track += _vlq(0) + bytes([0x90, note.pitch, 64])
-        track += _vlq(note.duration * ticks_per_sixteenth) + bytes([0x80, note.pitch, 0])
+        track += _vlq(note.duration * DIVISION // 4) + bytes([0x80, note.pitch, 0])
     track += _vlq(0) + bytes([0xFF, 0x2F, 0x00])
 
     header = b"MThd" + (6).to_bytes(4, "big")
-    header += (0).to_bytes(2, "big") + (1).to_bytes(2, "big") + division.to_bytes(2, "big")
+    header += (0).to_bytes(2, "big") + (1).to_bytes(2, "big") + DIVISION.to_bytes(2, "big")
     return header + b"MTrk" + len(track).to_bytes(4, "big") + bytes(track)
 
 

@@ -13,6 +13,7 @@ initialization, shuffling and sampling on any platform.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -439,82 +440,72 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _tensor_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """A tensor's header: its name and its shape, each after a one-byte count."""
+    return struct.pack(f"<B{len(name)}sB{len(shape)}I",
+                       len(name), name.encode("ascii"), len(shape), *shape)
+
+
 def save_weights(path, params: LstmParams, meta: WeightsMeta) -> None:
     """Write a versioned binary weights container, atomically.
 
-    Layout: magic, format version (2), the four dimension fields, then each
-    tensor of ``PARAM_FIELDS`` in that order, by name, with an explicit shape
-    header and row-major little-endian float64 data.
+    Layout: magic, format version (2), the four dimension fields and the
+    tensor count as little-endian uint32, then each tensor of
+    ``PARAM_FIELDS`` in that order: its ``_tensor_header`` and its row-major
+    little-endian float64 data.
     """
     _check_shapes(params, meta)
     parts = [
         WEIGHTS_MAGIC,
-        struct.pack("<5I", WEIGHTS_VERSION,
-                    meta.pitch_count, meta.duration_count, meta.hidden_size, meta.window),
-        struct.pack("<I", len(PARAM_FIELDS)),
+        struct.pack("<6I", WEIGHTS_VERSION, meta.pitch_count, meta.duration_count,
+                    meta.hidden_size, meta.window, len(PARAM_FIELDS)),
     ]
     for name, arr in params.tensors():
-        encoded = name.encode("ascii")
-        parts += [
-            struct.pack("<B", len(encoded)),
-            encoded,
-            struct.pack("<B", arr.ndim),
-            struct.pack(f"<{arr.ndim}I", *arr.shape),
-            np.ascontiguousarray(arr, dtype="<f8").tobytes(),
-        ]
+        parts += [_tensor_header(name, arr.shape),
+                  np.ascontiguousarray(arr, dtype="<f8").tobytes()]
     write_atomic(path, b"".join(parts))
 
 
 def load_weights(path) -> tuple[LstmParams, WeightsMeta]:
     """Read a weights container, refusing on any dimension inconsistency.
 
-    Every malformed file (bad magic, truncation anywhere, unexpected tensor
-    names or shapes, bytes after the last tensor) raises ``WeightsFormatError``,
-    and so does a file of format version 1, which stored each gate apart.
+    The dimension fields imply the whole layout: the file must be exactly as
+    long as ``save_weights`` would write it, and each tensor header must equal
+    the bytes ``_tensor_header`` gives for the implied shape. Every malformed
+    file (bad magic, truncation anywhere, other tensor names or shapes, bytes
+    after the last tensor) raises ``WeightsFormatError``, and so does a file
+    of format version 1, which stored each gate apart.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(WEIGHTS_MAGIC)] != WEIGHTS_MAGIC:
+    data = Path(path).read_bytes()
+    if not data.startswith(WEIGHTS_MAGIC):
         raise WeightsFormatError("not a weights file (bad magic string)")
-    offset = len(WEIGHTS_MAGIC)
+    offset = len(WEIGHTS_MAGIC) + 24
+    if len(data) < offset:
+        raise WeightsFormatError(f"weights file truncated at byte {len(data)}")
+    version, p, d, h, w, count = struct.unpack_from("<6I", data, len(WEIGHTS_MAGIC))
+    if version != WEIGHTS_VERSION:
+        hint = " (one tensor per gate); retrain to write version 2" if version == 1 else ""
+        raise WeightsFormatError(f"unsupported weights format version {version}{hint}")
+    if count != len(PARAM_FIELDS):
+        raise WeightsFormatError(f"expected {len(PARAM_FIELDS)} tensors, file has {count}")
+    meta = WeightsMeta(pitch_count=p, duration_count=d, hidden_size=h, window=w)
     try:
-        version, p, d, h, w = struct.unpack_from("<5I", data, offset)
-        offset += 20
-        if version != WEIGHTS_VERSION:
-            hint = " (one tensor per gate); retrain to write version 2" if version == 1 else ""
-            raise WeightsFormatError(f"unsupported weights format version {version}{hint}")
-        meta = WeightsMeta(pitch_count=p, duration_count=d, hidden_size=h, window=w)
-        expected = _expected_shapes(meta)
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if count != len(PARAM_FIELDS):
-            raise WeightsFormatError(f"expected {len(PARAM_FIELDS)} tensors, file has {count}")
-
-        arrays: dict[str, np.ndarray] = {}
-        for expected_name in PARAM_FIELDS:
-            (name_len,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            name = data[offset : offset + name_len].decode("ascii", errors="replace")
-            offset += name_len
-            if name != expected_name:
-                raise WeightsFormatError(f"tensor {expected_name} missing, found {name}")
-            (ndim,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, offset)
-            offset += 4 * ndim
-            if shape != expected[name]:
-                raise WeightsFormatError(
-                    f"tensor {name} has shape {shape}, expected {expected[name]}"
-                )
-            end = offset + 8 * int(np.prod(shape))
-            if end > len(data):
-                raise WeightsFormatError(f"tensor {name} data truncated")
-            arrays[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
-            offset = end
+        layout = [(name, _tensor_header(name, shape), shape)
+                  for name, shape in _expected_shapes(meta).items()]
     except struct.error:
-        raise WeightsFormatError(f"weights file truncated at byte {offset}") from None
-    if offset != len(data):
-        raise WeightsFormatError(f"{len(data) - offset} unexpected bytes after the last tensor")
+        raise WeightsFormatError(f"dimensions P={p} D={d} H={h} overflow the format") from None
+    size = offset + sum(len(header) + 8 * math.prod(shape) for _, header, shape in layout)
+    if len(data) != size:
+        raise WeightsFormatError(f"weights file truncated at byte {len(data)}" if len(data) < size
+                                 else f"{len(data) - size} unexpected bytes after the last tensor")
+    arrays = {}
+    for name, header, shape in layout:
+        if data[offset : offset + len(header)] != header:
+            raise WeightsFormatError(f"tensor {name} header does not match shape {shape}")
+        offset += len(header)
+        end = offset + 8 * math.prod(shape)
+        arrays[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
+        offset = end
     return LstmParams(**arrays), meta
 
 

@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,9 +199,8 @@ def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> np.ndarray:
     for piece, melody in enumerate(corpus):
         try:
             windows.append(make_training_windows(melody, cfg.window, cfg.vocab))
-        except EncodingError as exc:
-            note = next(j for j, n in enumerate(melody.notes) if not cfg.vocab.contains(n))
-            raise CorpusNoteError(f"pieces[{piece}].notes[{note}]: {exc}") from None
+        except EncodingError as exc:  # located as ``[j]: ...``
+            raise CorpusNoteError(f"pieces[{piece}].notes{exc}") from None
     if not sum(map(len, windows)):
         raise ValueError(
             f"corpus yields no training windows: every piece needs more than "
@@ -316,16 +316,24 @@ def build_augmented_dataset(
     """Original windows first, then one window per amended pair in order.
 
     An amended pair's window is its context followed by its replacement note.
+    Each error locates the pair in ``amended``: a context that is not
+    ``cfg.window`` notes long raises ``ValueError`` at ``[i].context``, a note
+    outside the vocabulary ``EncodingError`` at ``[i].context[k]`` or
+    ``[i].note``.
     """
-    for pair in amended:
+    places = [f"context[{k}]" for k in range(cfg.window)] + ["note"]
+    slots = []
+    for i, pair in enumerate(amended):
         if len(pair.context) != cfg.window:
-            raise ValueError(
-                f"amended context has {len(pair.context)} notes, expected {cfg.window}"
-            )
-    pairs = [[note_indices(note, cfg.vocab) for note in (*pair.context, pair.note)]
-             for pair in amended]
+            raise ValueError(f"[{i}].context: expected {cfg.window} notes, "
+                             f"got {len(pair.context)}")
+        for where, note in zip(places, (*pair.context, pair.note)):
+            try:
+                slots.append(note_indices(note, cfg.vocab))
+            except EncodingError as exc:
+                raise EncodingError(f"[{i}].{where}: {exc}") from None
     return np.concatenate(
-        (orig_windows, np.array(pairs, dtype=np.int16).reshape(-1, cfg.window + 1, 2))
+        (orig_windows, np.array(slots, dtype=np.int16).reshape(-1, cfg.window + 1, 2))
     )
 
 
@@ -353,29 +361,46 @@ def melody_to_obj(melody: Melody) -> dict:
 
 
 class InputFormatError(ValueError):
-    """A corpus, melody or amended-pairs file does not follow its JSON schema."""
+    """An input file is not valid JSON or does not follow its schema."""
 
 
-def _load_json(path: Path, decode):
-    """``decode`` the JSON of ``path``; any schema error names the file and the field."""
+@contextmanager
+def naming(source):
+    """Put ``source``, the file being read, in front of any ``ValueError`` raised inside.
+
+    The class stays, and so does the exit code; JSON that does not decode and
+    bytes that are not UTF-8 become ``InputFormatError``. Every class raised
+    inside must take a single message argument.
+    """
     try:
-        return decode(json.loads(Path(path).read_text()))
+        yield
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
+        raise InputFormatError(f"{source}: not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
+def load_json(path: Path, decode):
+    """``decode`` the JSON of ``path``, the one JSON reader; every error names the file."""
+    with naming(path):
+        return decode(json.loads(Path(path).read_text()))
 
 
 def _join(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
-def _field(obj, key: str, kind: type, where: str):
-    """``obj[key]``, refused unless ``obj`` is an object holding a ``kind`` there."""
+def _object(obj, where: str) -> dict:
+    """``obj``, refused unless it is a JSON object."""
     if not isinstance(obj, dict):
         raise InputFormatError(f"{where or 'top level'}: expected an object, "
                                f"got {type(obj).__name__}")
-    if key not in obj:
+    return obj
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """``obj[key]``, refused unless ``obj`` is an object holding a ``kind`` there."""
+    if key not in _object(obj, where):
         raise InputFormatError(f"{where or 'top level'}: missing field {key!r}")
     value = obj[key]
     if not isinstance(value, kind):
@@ -421,7 +446,7 @@ def save_corpus(path: Path, corpus: list[Melody]) -> None:
 
 
 def load_corpus(path: Path) -> list[Melody]:
-    return _load_json(path, lambda payload: [
+    return load_json(path, lambda payload: [
         melody_from_obj(obj, f"pieces[{i}]")
         for i, obj in enumerate(_field(payload, "pieces", list, ""))
     ])
@@ -434,7 +459,7 @@ def save_melody(path: Path, notes: list[NoteEvent]) -> None:
 
 
 def load_melody(path: Path) -> list[NoteEvent]:
-    return _load_json(path, lambda payload: melody_from_obj(payload).notes)
+    return load_json(path, lambda payload: melody_from_obj(payload).notes)
 
 
 def save_amended(path: Path, amended: list[AmendedPair]) -> None:
@@ -451,7 +476,7 @@ def save_amended(path: Path, amended: list[AmendedPair]) -> None:
 
 
 def load_amended(path: Path) -> list[AmendedPair]:
-    return _load_json(path, _amended_from_obj)
+    return load_json(path, _amended_from_obj)
 
 
 def _amended_from_obj(payload) -> list[AmendedPair]:
@@ -601,42 +626,22 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     under ``mix_conjunction_filter``.
     """
     orig_windows = corpus_windows(corpus, cfg)
-    amended = {
-        rule.value: _load_amended_in_vocabulary(run_dir / "amended" / f"{rule.value}.json", cfg)
-        for rule in RULE_ORDER
-    }
-    if cfg.mix_conjunction_filter:
-        amended["mix"] = _load_amended_in_vocabulary(run_dir / "amended" / "mix.json", cfg)
-    else:
-        amended["mix"] = [pair for rule in RULE_ORDER for pair in amended[rule.value]]
+    streams = [rule.value for rule in RULE_ORDER] + (["mix"] if cfg.mix_conjunction_filter else [])
+    amended, datasets = {}, {}
+    for stream in streams:  # every dataset is built, and so checked, before any training
+        path = run_dir / "amended" / f"{stream}.json"
+        amended[stream] = load_amended(path)
+        with naming(path):
+            datasets[stream] = build_augmented_dataset(orig_windows, amended[stream], cfg)
+    if "mix" not in datasets:
+        pooled = [pair for rule in RULE_ORDER for pair in amended[rule.value]]
+        datasets["mix"] = build_augmented_dataset(orig_windows, pooled, cfg)
 
     modes = {}
-    for mode in MODES[1:]:
-        dataset = build_augmented_dataset(orig_windows, amended[mode], cfg)
+    for mode, dataset in datasets.items():
         params, trace, kept = train_on_examples(dataset, cfg)
         modes[mode] = _save_mode(run_dir, mode, params, trace, kept, dataset, cfg)
     update_manifest(run_dir, {"modes": modes})
-
-
-def _load_amended_in_vocabulary(path: Path, cfg: RunConfig) -> list[AmendedPair]:
-    """``load_amended``, refusing a context that is not ``cfg.window`` notes long
-    and a note outside the vocabulary.
-
-    Each error names the file and the place: ``[i].context`` for a length, and
-    ``[i].context[k]`` or ``[i].note`` for a note (an ``EncodingError``).
-    """
-    pairs = load_amended(path)
-    for i, pair in enumerate(pairs):
-        if len(pair.context) != cfg.window:
-            raise ValueError(f"{path}: [{i}].context: expected {cfg.window} notes, "
-                             f"got {len(pair.context)}")
-        places = [(f"context[{k}]", note) for k, note in enumerate(pair.context)]
-        for where, note in places + [("note", pair.note)]:
-            try:
-                note_indices(note, cfg.vocab)
-            except EncodingError as exc:
-                raise EncodingError(f"{path}: [{i}].{where}: {exc}") from None
-    return pairs
 
 
 def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg: RunConfig,
@@ -719,8 +724,9 @@ def run_experiment(
 # --- run directory ------------------------------------------------------------
 
 def read_manifest(run_dir: Path) -> dict:
+    """The run's manifest, ``{}`` before the first stage writes one."""
     path = run_dir / MANIFEST
-    return json.loads(path.read_text()) if path.exists() else {}
+    return load_json(path, lambda payload: _object(payload, "")) if path.exists() else {}
 
 
 def update_manifest(run_dir: Path, update: dict) -> None:
@@ -751,11 +757,9 @@ def load_checked_weights(run_dir: Path, mode: str, cfg: RunConfig) -> network.Ls
     Every ``WeightsFormatError``, a malformed file or a mismatch, names the file.
     """
     path = run_dir / "weights" / f"{mode}.wts"
-    try:
+    with naming(path):
         params, meta = network.load_weights(path)
         network.check_compatible(meta, **vars(_weights_meta(cfg)))
-    except network.WeightsFormatError as exc:
-        raise network.WeightsFormatError(f"{path}: {exc}") from None
     return params
 
 

@@ -52,6 +52,22 @@ def test_stack_examples_returns_contexts_first():
     assert result[0].nbytes == len(windows) * cfg.window * 2 * 2
 
 
+@pytest.mark.parametrize("name", [
+    "encoding.NoteVocabulary.contains",
+    "pipeline.load_amended", "pipeline.load_melody", "pipeline.config_from_dict",
+    "grammar.conforms", "grammar.Rule",
+    "network.load_weights", "network.check_compatible", "network.save_weights",
+])
+def test_every_name_the_correctness_checks_call_exists(name):
+    # perfbench/checks.py calls these to judge a run's outputs; a missing one
+    # would fail the benchmark's correctness checks, not tier-1.
+    short, *path = name.split(".")
+    target = importlib.import_module(f"melogram.{short}")
+    for attr in path:
+        target = getattr(target, attr, None)
+    assert callable(target), f"melogram.{name}"
+
+
 @pytest.mark.parametrize("entry", ["network.fit", "pipeline.train_on_examples"])
 def test_training_result_holds_the_trace_then_the_kept_epoch(entry):
     # The launcher's network.epochs counter reads len(result[1]) of

@@ -217,6 +217,18 @@ class TestStagedCommands:
         assert (f"{bad}: interval and triad statistics need a melody of at least three notes"
                 in caplog.text)
 
+    def test_amend_with_a_seed_phrase_needs_no_corpus(self, tmp_path, caplog):
+        config, run_dir = tiny_config_file(tmp_path), tmp_path / "run"
+        assert cli.main(["train", "--corpus", str(write_corpus(tmp_path)),
+                         "--config", str(config), "--run-dir", str(run_dir)]) == 0
+        common = ["--config", str(config), "--run-dir", str(run_dir)]
+        assert cli.main(["amend", *common, "--seed-phrase",
+                         "60:4,62:4,64:4,65:4,67:4,69:4,71:4"]) == 0
+        assert sorted(p.name for p in (run_dir / "amended").iterdir()) == [
+            "dia.json", "spi.json", "tri.json"]
+        assert cli.main(["amend", *common]) == cli.EXIT_VALIDATION
+        assert "need --seed-phrase or --corpus" in caplog.text
+
     def test_conjunction_filter_staged_path(self, tmp_path):
         config_data = json.loads(tiny_config_file(tmp_path).read_text())
         config_data["generation"] = {"phase1_notes": 40, "phase2_notes": 40,
@@ -357,6 +369,15 @@ class TestExport:
         assert melody.notes == notes
 
 
+    def test_empty_melody_is_named(self, tmp_path, caplog):
+        melody_path = tmp_path / "empty.json"
+        pipeline.save_melody(melody_path, [])
+        out = tmp_path / "out.mid"
+        assert cli.main(["export", str(melody_path), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == f"{melody_path}: cannot write an empty melody"
+        assert not out.exists()
+
+
 class TestConfigHandling:
     def test_init_config_round_trips(self, tmp_path):
         path = tmp_path / "defaults.json"
@@ -446,6 +467,37 @@ class TestConfigHandling:
                          "--config", str(files["--config"]), "--run-dir", str(tmp_path / "run")])
         assert code == cli.EXIT_PARSE
         assert f"{files[option]}: not valid JSON" in caplog.text
+
+    @pytest.mark.parametrize("argv, wrong", [
+        (["ingest", "{corpus}", "--out", "{tmp}/c.json"], "corpus"),
+        (["train", "--corpus", "{run}", "--run-dir", "{tmp}/out"], "run"),
+        (["train", "--corpus", "{corpus}", "--config", "{run}", "--run-dir", "{tmp}/out"], "run"),
+        (["evaluate", "{run}"], "run"),
+        (["evaluate", "{melody}", "--out", "{corpus}"], "corpus"),
+    ], ids=["ingest-file", "train-corpus-dir", "train-config-dir", "evaluate-dir",
+            "evaluate-out-file"])
+    def test_path_of_the_wrong_kind_is_validation_error(self, tmp_path, caplog, argv, wrong):
+        places = {"corpus": write_corpus(tmp_path), "run": tmp_path / "run",
+                  "melody": tmp_path / "m.json", "tmp": tmp_path}
+        places["run"].mkdir()
+        pipeline.save_melody(places["melody"], [NoteEvent(60 + i, 4) for i in range(8)])
+        code = cli.main([arg.format(**places) for arg in argv])
+        assert code == cli.EXIT_VALIDATION
+        assert str(places[wrong]) in caplog.records[-1].getMessage()
+
+    @pytest.mark.parametrize("content", [b"{", b"[1,2]", b"\xff{}"],
+                             ids=["truncated", "list", "not-utf8"])
+    def test_corrupt_manifest_is_named_parse_error(self, tmp_path, caplog, content):
+        config, run_dir = tiny_config_file(tmp_path), tmp_path / "run"
+        corpus = write_corpus(tmp_path)
+        assert cli.main(["train", "--corpus", str(corpus), "--config", str(config),
+                         "--run-dir", str(run_dir)]) == 0
+        manifest = run_dir / "manifest.json"
+        manifest.write_bytes(content)
+        code = cli.main(["generate", "--run-dir", str(run_dir), "--config", str(config),
+                         "--mode", "orig", "-n", "5", "--corpus", str(corpus)])
+        assert code == cli.EXIT_PARSE
+        assert caplog.records[-1].getMessage().startswith(f"{manifest}: ")
 
     @pytest.mark.parametrize("text, field", [
         ('{"piece": []}', "missing field 'pieces'"),
