@@ -16,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
+from concurrent.futures import FIRST_EXCEPTION, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +45,7 @@ RULE_ORDER = (Rule.DIA, Rule.SPI, Rule.TRI)
 ALL_RULE_SET = frozenset(Rule)
 MODE_LABELS = {"orig": "Orig", "dia": "DIA", "spi": "SPI", "tri": "TRI", "mix": "MIX"}
 MANIFEST = "manifest.json"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 log = logging.getLogger(__name__)
 
@@ -232,6 +235,72 @@ def train_on_examples(
         plateau_threshold=cfg.plateau_threshold,
         clip_norm=cfg.clip_norm,
     )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which ``taskset`` narrows."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _worker_pool(workers: int):
+    """A ``spawn`` process pool whose workers start with BLAS at one thread.
+
+    The BLAS thread variables are set in ``os.environ`` while the pool lives,
+    so each worker reads them before it loads numpy; the caller's values come
+    back once every worker has exited. Leaving the block cancels the tasks
+    that have not started and waits for the running ones.
+    """
+    # Imported here: at the top they would add to every command's start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def train_modes(datasets: dict[str, np.ndarray], cfg: RunConfig
+                ) -> dict[str, tuple[network.LstmParams, list[float], int]]:
+    """``train_on_examples`` on each ``{mode: windows}`` dataset, in ``datasets`` order.
+
+    The trainings run in worker processes, one per usable CPU and at most one
+    per dataset, the largest dataset first. A worker runs BLAS at one thread,
+    so its result does not depend on the caller's thread count. With one
+    worker the trainings run in this process, at its thread count. A failed
+    training cancels those not started; once the running ones end, the first
+    failure in ``datasets`` order is raised, its message led by its mode.
+    """
+    workers = min(len(datasets), _usable_cpus())
+    if workers <= 1:
+        results = {}
+        for mode, windows in datasets.items():
+            with naming(mode):
+                results[mode] = train_on_examples(windows, cfg)
+        return results
+    largest_first = sorted(datasets, key=lambda mode: len(datasets[mode]), reverse=True)
+    with _worker_pool(workers) as pool:
+        futures = {mode: pool.submit(train_on_examples, datasets[mode], cfg)
+                   for mode in largest_first}
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
+    results = {}
+    for mode in datasets:
+        if not futures[mode].cancelled():
+            with naming(mode):
+                results[mode] = futures[mode].result()
+    return results
 
 
 def train_orig(corpus: list[Melody], cfg: RunConfig
@@ -623,7 +692,8 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     """Train ``dia``/``spi``/``tri``/``mix`` on the corpus plus their amended pairs.
 
     ``mix`` pools the three rule streams, or takes the conjunction stream
-    under ``mix_conjunction_filter``.
+    under ``mix_conjunction_filter``. The four trainings run side by side
+    through ``train_modes``.
     """
     orig_windows = corpus_windows(corpus, cfg)
     streams = [rule.value for rule in RULE_ORDER] + (["mix"] if cfg.mix_conjunction_filter else [])
@@ -637,10 +707,9 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
         pooled = [pair for rule in RULE_ORDER for pair in amended[rule.value]]
         datasets["mix"] = build_augmented_dataset(orig_windows, pooled, cfg)
 
-    modes = {}
-    for mode, dataset in datasets.items():
-        params, trace, kept = train_on_examples(dataset, cfg)
-        modes[mode] = _save_mode(run_dir, mode, params, trace, kept, dataset, cfg)
+    trained = train_modes(datasets, cfg)  # no weights file unless every training succeeds
+    modes = {mode: _save_mode(run_dir, mode, *trained[mode], dataset, cfg)
+             for mode, dataset in datasets.items()}
     update_manifest(run_dir, {"modes": modes})
 
 

@@ -149,7 +149,11 @@ class TestFallbackFidelity:
 
 @pytest.fixture(scope="module")
 def directional_models():
-    """Orig plus the three single-rule retrains on a half-chromatic corpus."""
+    """Orig plus the three single-rule retrains on a half-chromatic corpus.
+
+    The retrains run side by side in ``pipeline.train_modes``, as ``retrain``
+    runs them.
+    """
     vocab = default_vocabulary()
     rng = np.random.default_rng(2024)
     corpus = [walk_melody(rng, vocab, 200, diatonic_fraction=0.5) for _ in range(4)]
@@ -160,14 +164,16 @@ def directional_models():
     orig, _, _ = pipeline.train_orig(corpus, cfg)
     seed_phrase = pipeline.default_seed_phrase(corpus, cfg)
     examples = pipeline.corpus_windows(corpus, cfg)
-    models = {"orig": orig}
+    datasets = {}
     for index, rule in enumerate(pipeline.RULE_ORDER):
         gen_rng = network.make_rng(cfg.seeds.phase1, index)
         _, amended = pipeline.phase1_generate(
             orig, seed_phrase, cfg.phase1_notes, frozenset({rule}), cfg, gen_rng
         )
-        dataset = pipeline.build_augmented_dataset(examples, amended, cfg)
-        models[rule.value], _, _ = pipeline.train_on_examples(dataset, cfg)
+        datasets[rule.value] = pipeline.build_augmented_dataset(examples, amended, cfg)
+    models = {"orig": orig}
+    for mode, (params, _, _) in pipeline.train_modes(datasets, cfg).items():
+        models[mode] = params
     return cfg, corpus, seed_phrase, models
 
 

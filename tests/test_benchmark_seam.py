@@ -97,19 +97,25 @@ def test_phase1_arguments_the_launcher_reads():
     assert names[3] == "rules"
 
 
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.<name>`` with a wrapper that counts its calls in this process."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("phase", ["phase1", "phase2"])
 def test_forward_called_once_per_generated_note(monkeypatch, phase):
     cfg = tiny_config()
     params = network.init_params(cfg.vocab.dim, cfg.hidden_size, network.make_rng(0))
     seed_phrase = [NoteEvent(60 + k, 4) for k in range(cfg.window)]
-    calls = []
-    forward = network.forward
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(network, "forward", counted)
+    calls = _counting(monkeypatch, network, "forward")
     rng = network.make_rng(1)
     if phase == "phase1":
         notes, _ = pipeline.phase1_generate(
@@ -164,3 +170,25 @@ def test_entry_points_do_not_call_each_other(monkeypatch, blocked):
 
     monkeypatch.setattr(module, blocked, forbidden)
     assert _run_entry_point(other) == 5
+
+
+def test_train_trains_orig_in_the_calling_process(monkeypatch, tmp_path):
+    # The launcher's "loss traces finite" check needs at least one
+    # train_on_examples result captured in the launched process; retrain's
+    # trainings run in workers, so train's must not.
+    calls = _counting(monkeypatch, pipeline, "train_on_examples")
+    cfg = tiny_config()
+    pipeline.train(tiny_corpus(cfg), cfg, tmp_path)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("conjunction", [False, True])
+def test_amend_generates_every_stream_in_the_calling_process(monkeypatch, tmp_path, conjunction):
+    # The launcher's "amend streams captured" check counts phase1_generate
+    # calls in the launched process against the manifest's streams.
+    cfg = tiny_config(phase1_notes=10, mix_conjunction_filter=conjunction)
+    corpus = tiny_corpus(cfg)
+    pipeline.train(corpus, cfg, tmp_path)
+    calls = _counting(monkeypatch, pipeline, "phase1_generate")
+    pipeline.amend(pipeline.default_seed_phrase(corpus, cfg), cfg, tmp_path)
+    assert len(calls) == len(pipeline.read_manifest(tmp_path)["phase1"]) == 3 + conjunction

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -524,6 +526,27 @@ class TestConfigHandling:
         assert code == cli.EXIT_VALIDATION
         assert "training diverged: epoch 1" in caplog.text
         assert not (run_dir / "weights" / "orig.wts").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_retrain_names_its_mode(self, tmp_path, caplog):
+        config, run_dir = tiny_config_file(tmp_path), tmp_path / "run"
+        corpus = write_corpus(tmp_path)
+        common = ["--corpus", str(corpus), "--run-dir", str(run_dir)]
+        for command in ("train", "amend"):
+            assert cli.main([command, *common, "--config", str(config)]) == 0
+        diverge = json.loads(config.read_text())
+        diverge["training"]["learning_rate"] = 1e308  # the first update overflows
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(diverge))
+        code = cli.main(["retrain", *common, "--config", str(path)])
+        assert code == cli.EXIT_VALIDATION
+        assert re.fullmatch(r"(dia|spi|tri|mix): training diverged: epoch 1 loss is nan",
+                            caplog.records[-1].getMessage())
+        assert not any((run_dir / "weights" / f"{mode}.wts").exists()
+                       for mode in ("dia", "spi", "tri", "mix"))
+        assert list(pipeline.read_manifest(run_dir)["modes"]) == ["orig"]
+        assert multiprocessing.active_children() == []
 
     def test_diverged_training_prints_no_numpy_warnings(self, tmp_path, caplog):
         config = json.loads(tiny_config_file(tmp_path).read_text())

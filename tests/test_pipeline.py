@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +130,54 @@ class TestTrainDeterminism:
         )
         for (_, arr_a), (_, arr_b) in zip(orig.tensors(), again.tensors()):
             assert np.array_equal(arr_a, arr_b)
+
+
+class TestTrainModes:
+    MODES = ("dia", "spi", "tri", "mix")
+
+    def datasets(self, cfg, empty=()):
+        """Four datasets of unequal size, in mode order; those in ``empty`` hold no window."""
+        windows = pipeline.corpus_windows(tiny_corpus(cfg), cfg)
+        return {mode: windows[: 0 if mode in empty else len(windows) - 9 * k]
+                for k, mode in enumerate(self.MODES)}
+
+    def test_pool_changes_no_byte(self, monkeypatch):
+        # At these sizes OpenBLAS runs every product on one thread, so the
+        # serial oracle does not depend on the suite's thread count.
+        cfg = tiny_config()
+        datasets = self.datasets(cfg)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        pooled = pipeline.train_modes(datasets, cfg)
+        assert list(pooled) == list(self.MODES)
+        for mode, windows in datasets.items():
+            params, trace, kept = pipeline.train_on_examples(windows, cfg)
+            got_params, got_trace, got_kept = pooled[mode]
+            for (name, want), (_, got) in zip(params.tensors(), got_params.tensors()):
+                assert got.tobytes() == want.tobytes(), f"{mode}.{name}"
+            assert (got_trace, got_kept) == (trace, kept)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failure_in_mode_order_names_its_mode(self, monkeypatch, cpus):
+        cfg = tiny_config()
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match=r"^spi: no training examples to stack$"):
+            pipeline.train_modes(self.datasets(cfg, empty=("spi", "mix")), cfg)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("parent", ["2", None])
+    def test_workers_start_with_one_blas_thread(self, monkeypatch, parent):
+        for name in pipeline.BLAS_THREAD_VARS:
+            if parent is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, parent)
+        before = dict(os.environ)
+        with pipeline._worker_pool(1) as pool:
+            seen = list(pool.map(os.getenv, pipeline.BLAS_THREAD_VARS))
+        assert seen == ["1", "1", "1"]
+        assert dict(os.environ) == before
+        assert multiprocessing.active_children() == []
 
 
 class TestKeptEpoch:
