@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+from functools import wraps
 from pathlib import Path
 
 import numpy as np
@@ -98,10 +99,15 @@ def test_phase1_arguments_the_launcher_reads():
 
 
 def _counting(monkeypatch, module, name: str) -> list:
-    """Replace ``module.<name>`` with a wrapper that counts its calls in this process."""
+    """Replace ``module.<name>`` with a wrapper that counts its calls in this process.
+
+    Like the launcher's wrappers, it keeps the function's name, so a worker
+    process that is handed the function by name gets the original.
+    """
     calls = []
     original = getattr(module, name)
 
+    @wraps(original)
     def counted(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
@@ -174,8 +180,7 @@ def test_entry_points_do_not_call_each_other(monkeypatch, blocked):
 
 def test_train_trains_orig_in_the_calling_process(monkeypatch, tmp_path):
     # The launcher's "loss traces finite" check needs at least one
-    # train_on_examples result captured in the launched process; retrain's
-    # trainings run in workers, so train's must not.
+    # train_on_examples result captured in the launched process.
     calls = _counting(monkeypatch, pipeline, "train_on_examples")
     cfg = tiny_config()
     pipeline.train(tiny_corpus(cfg), cfg, tmp_path)
@@ -192,3 +197,17 @@ def test_amend_generates_every_stream_in_the_calling_process(monkeypatch, tmp_pa
     calls = _counting(monkeypatch, pipeline, "phase1_generate")
     pipeline.amend(pipeline.default_seed_phrase(corpus, cfg), cfg, tmp_path)
     assert len(calls) == len(pipeline.read_manifest(tmp_path)["phase1"]) == 3 + conjunction
+
+
+def test_retrain_calls_train_on_examples_once_per_mode_in_the_calling_process(
+        monkeypatch, tmp_path):
+    # The launcher names the retrain stage times pipeline.stage.retrain_*_s
+    # from the train_on_examples calls of the launched process, so each
+    # retrain is one such call here even though a worker process trains it.
+    cfg = tiny_config(phase1_notes=10)
+    corpus = tiny_corpus(cfg)
+    pipeline.train(corpus, cfg, tmp_path)
+    pipeline.amend(pipeline.default_seed_phrase(corpus, cfg), cfg, tmp_path)
+    calls = _counting(monkeypatch, pipeline, "train_on_examples")
+    pipeline.retrain(corpus, cfg, tmp_path)
+    assert len(calls) == len(pipeline.MODES) - 1

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import re
 import shutil
+import threading
 import warnings
 from pathlib import Path
 
@@ -539,6 +540,7 @@ class TestConfigHandling:
         diverge["training"]["learning_rate"] = 1e308  # the first update overflows
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(diverge))
+        threads = threading.active_count()
         code = cli.main(["retrain", *common, "--config", str(path)])
         assert code == cli.EXIT_VALIDATION
         assert re.fullmatch(r"(dia|spi|tri|mix): training diverged: epoch 1 loss is nan",
@@ -547,6 +549,7 @@ class TestConfigHandling:
                        for mode in ("dia", "spi", "tri", "mix"))
         assert list(pipeline.read_manifest(run_dir)["modes"]) == ["orig"]
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     def test_diverged_training_prints_no_numpy_warnings(self, tmp_path, caplog):
         config = json.loads(tiny_config_file(tmp_path).read_text())

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 from dataclasses import replace
+from functools import wraps
 
 import numpy as np
 import pytest
@@ -147,6 +149,7 @@ class TestTrainModes:
         cfg = tiny_config()
         datasets = self.datasets(cfg)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        threads = threading.active_count()
         pooled = pipeline.train_modes(datasets, cfg)
         assert list(pooled) == list(self.MODES)
         for mode, windows in datasets.items():
@@ -156,14 +159,37 @@ class TestTrainModes:
                 assert got.tobytes() == want.tobytes(), f"{mode}.{name}"
             assert (got_trace, got_kept) == (trace, kept)
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_calls_return_in_mode_order(self, monkeypatch):
+        # spi's worker finishes long before dia's; its train_on_examples call
+        # in this process still returns after dia's.
+        cfg = tiny_config(epochs=20)
+        windows = pipeline.corpus_windows(tiny_corpus(cfg), cfg)
+        datasets = {"dia": np.concatenate([windows] * 8), "spi": windows[:16]}
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        returned = []
+        original = pipeline.train_on_examples
+
+        @wraps(original)
+        def recorded(windows, *args):
+            result = original(windows, *args)
+            returned.append(len(windows))
+            return result
+
+        monkeypatch.setattr(pipeline, "train_on_examples", recorded)
+        pipeline.train_modes(datasets, cfg)
+        assert returned == [len(windows) for windows in datasets.values()]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failure_in_mode_order_names_its_mode(self, monkeypatch, cpus):
         cfg = tiny_config()
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
         with pytest.raises(ValueError, match=r"^spi: no training examples to stack$"):
             pipeline.train_modes(self.datasets(cfg, empty=("spi", "mix")), cfg)
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("parent", ["2", None])
     def test_workers_start_with_one_blas_thread(self, monkeypatch, parent):
