@@ -345,8 +345,8 @@ def _pearson(xs, ys) -> float:
 
 
 def _vlq(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("delta time must be non-negative")
+    if not 0 <= value < 1 << 28:  # four 7-bit bytes, the most a reader accepts
+        raise ValueError(f"delta time {value} does not fit a 4-byte variable-length quantity")
     out = [value & 0x7F]
     value >>= 7
     while value:
@@ -361,7 +361,8 @@ def write_midi(melody: Melody) -> bytes:
     Durations are sixteenth-note units, written at ``DIVISION`` ticks per
     quarter note and ``TEMPO_US`` microseconds per quarter note. Re-parsing,
     extracting and quantizing the output reproduces the melody exactly. An
-    empty melody raises ``ValueError``.
+    empty melody, or a note too long for a 4-byte delta time, raises
+    ``ValueError``.
     """
     if not melody.notes:
         raise ValueError("cannot write an empty melody")

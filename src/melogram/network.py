@@ -473,8 +473,9 @@ def load_weights(path) -> tuple[LstmParams, WeightsMeta]:
     long as ``save_weights`` would write it, and each tensor header must equal
     the bytes ``_tensor_header`` gives for the implied shape. Every malformed
     file (bad magic, truncation anywhere, other tensor names or shapes, bytes
-    after the last tensor) raises ``WeightsFormatError``, and so does a file
-    of format version 1, which stored each gate apart.
+    after the last tensor, a NaN or infinite weight) raises
+    ``WeightsFormatError``, and so does a file of format version 1, which
+    stored each gate apart.
     """
     data = Path(path).read_bytes()
     if not data.startswith(WEIGHTS_MAGIC):
@@ -505,6 +506,8 @@ def load_weights(path) -> tuple[LstmParams, WeightsMeta]:
         offset += len(header)
         end = offset + 8 * math.prod(shape)
         arrays[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise WeightsFormatError(f"tensor {name} holds non-finite values")
         offset = end
     return LstmParams(**arrays), meta
 

@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import struct
-from concurrent.futures import FIRST_EXCEPTION, Executor, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,22 +213,17 @@ def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> np.ndarray:
 
 
 def train_on_examples(
-    windows: np.ndarray, cfg: RunConfig, pool: Executor | None = None,
-    after: Future | None = None,
+    windows: np.ndarray, cfg: RunConfig, pending: Future | None = None,
 ) -> tuple[network.LstmParams, list[float], int]:
     """Train from a fresh initialization to a plateau.
 
     Returns what ``network.fit`` returns: the weights of the kept epoch, the
     loss trace of every epoch run (it may end past the kept epoch) and the
-    kept epoch. With ``pool``, the training runs in one of its workers; the
-    call waits for it and then for ``after``, the call made before it, so
-    calls made side by side return in the order they were made.
+    kept epoch. With ``pending``, this training already submitted to a
+    worker, the call waits for that result instead of training.
     """
-    if pool is not None:
-        result = pool.submit(train_on_examples, windows, cfg).result()
-        if after is not None:
-            wait([after])
-        return result
+    if pending is not None:
+        return pending.result()
     contexts, pitch_targets, dur_targets = stack_examples(windows, cfg.vocab)
     params = network.init_params(
         cfg.vocab.dim, cfg.hidden_size, network.make_rng(cfg.seeds.init)
@@ -284,30 +279,24 @@ def train_modes(datasets: dict[str, np.ndarray], cfg: RunConfig
                 ) -> dict[str, tuple[network.LstmParams, list[float], int]]:
     """``train_on_examples`` on each ``{mode: windows}`` dataset, side by side.
 
-    The trainings run in worker processes, one per usable CPU and at most one
-    per dataset, started in ``datasets`` order. A worker runs BLAS at one
-    thread, so its result does not depend on the caller's thread count. Each
-    training is still one ``train_on_examples`` call in this process, made
-    from a thread that waits on its worker, and the calls return in
-    ``datasets`` order: a profiler of this process sees every training's
-    time and result, in the order serial calls would give them. A failed
-    training cancels those not started; once the running ones end, the
-    first failure in ``datasets`` order is raised, its message led by its
-    mode.
+    Every training is submitted at once to worker processes, one per usable
+    CPU and at most one per dataset; a free worker takes the next one. A
+    worker runs BLAS at one thread, so its result does not depend on the
+    caller's thread count. This thread then makes one ``train_on_examples``
+    call per dataset, in ``datasets`` order, each returning its worker's
+    result: a profiler of this process sees every training's result in the
+    order serial calls would give them. The first failure in ``datasets``
+    order is raised, its message led by its mode, once the trainings before
+    it have ended; those not started are then cancelled.
     """
     workers = min(len(datasets), _usable_cpus())
-    futures: dict[str, Future] = {}
-    with _worker_pool(workers) as pool, ThreadPoolExecutor(workers) as calls:
-        after = None
-        for mode, windows in datasets.items():
-            futures[mode] = after = calls.submit(train_on_examples, windows, cfg, pool, after)
-        wait(futures.values(), return_when=FIRST_EXCEPTION)
-        calls.shutdown(cancel_futures=True)
     results = {}
-    for mode, future in futures.items():
-        if not future.cancelled():
+    with _worker_pool(workers) as pool:
+        pending = {mode: pool.submit(train_on_examples, windows, cfg)
+                   for mode, windows in datasets.items()}
+        for mode, windows in datasets.items():
             with naming(mode):
-                results[mode] = future.result()
+                results[mode] = train_on_examples(windows, cfg, pending[mode])
     return results
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import threading
 from functools import wraps
 from pathlib import Path
 
@@ -99,7 +100,7 @@ def test_phase1_arguments_the_launcher_reads():
 
 
 def _counting(monkeypatch, module, name: str) -> list:
-    """Replace ``module.<name>`` with a wrapper that counts its calls in this process.
+    """Replace ``module.<name>`` with a wrapper that lists the thread of each call here.
 
     Like the launcher's wrappers, it keeps the function's name, so a worker
     process that is handed the function by name gets the original.
@@ -109,7 +110,7 @@ def _counting(monkeypatch, module, name: str) -> list:
 
     @wraps(original)
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(threading.current_thread())
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -204,10 +205,13 @@ def test_retrain_calls_train_on_examples_once_per_mode_in_the_calling_process(
     # The launcher names the retrain stage times pipeline.stage.retrain_*_s
     # from the train_on_examples calls of the launched process, so each
     # retrain is one such call here even though a worker process trains it.
+    # The launcher keeps one span stack per process, so calls made from
+    # concurrent threads would nest in each other's spans: every call is
+    # made from the main thread.
     cfg = tiny_config(phase1_notes=10)
     corpus = tiny_corpus(cfg)
     pipeline.train(corpus, cfg, tmp_path)
     pipeline.amend(pipeline.default_seed_phrase(corpus, cfg), cfg, tmp_path)
     calls = _counting(monkeypatch, pipeline, "train_on_examples")
     pipeline.retrain(corpus, cfg, tmp_path)
-    assert len(calls) == len(pipeline.MODES) - 1
+    assert calls == [threading.main_thread()] * (len(pipeline.MODES) - 1)

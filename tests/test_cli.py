@@ -297,7 +297,9 @@ class TestStagedCommands:
     @pytest.mark.parametrize("damage, message", [
         (lambda data: b"garbage", "not a weights file (bad magic string)"),
         (lambda data: data[:28], "weights file truncated at byte 28"),
-    ], ids=["garbage", "truncated"])
+        (lambda data: data[:-8] + np.array([np.nan], "<f8").tobytes(),
+         "tensor c holds non-finite values"),
+    ], ids=["garbage", "truncated", "non-finite"])
     def test_corrupt_weights_file_is_named(self, tmp_path, caplog, damage, message):
         config, corpus = tiny_config_file(tmp_path), write_corpus(tmp_path)
         common = ["--corpus", str(corpus), "--config", str(config), "--run-dir"]
@@ -378,6 +380,17 @@ class TestExport:
         out = tmp_path / "out.mid"
         assert cli.main(["export", str(melody_path), "--out", str(out)]) == cli.EXIT_VALIDATION
         assert caplog.records[-1].getMessage() == f"{melody_path}: cannot write an empty melody"
+        assert not out.exists()
+
+    def test_note_too_long_for_a_midi_delta_time_is_named(self, tmp_path, caplog):
+        # 3,000,000 sixteenths are 360,000,000 ticks, more than the 2**28 - 1
+        # a 4-byte delta time holds, so the file would not parse back.
+        melody_path = tmp_path / "long.json"
+        pipeline.save_melody(melody_path, [NoteEvent(60, 3_000_000), NoteEvent(62, 4)])
+        out = tmp_path / "out.mid"
+        assert cli.main(["export", str(melody_path), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == (
+            f"{melody_path}: delta time 360000000 does not fit a 4-byte variable-length quantity")
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from melogram.encoding import default_vocabulary
 from melogram.midi import (
+    DIVISION,
     EmptyMelodyError,
     KEY_SIGNATURE,
     MidiParseError,
@@ -324,6 +325,15 @@ class TestWriteMidi:
     def test_empty_melody_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             write_midi(Melody(notes=[]))
+
+    def test_delta_times_stop_at_four_bytes(self):
+        # 2**28 - 1 ticks is the longest delta time a reader takes.
+        longest = ((1 << 28) - 1) // (DIVISION // 4)  # in sixteenths
+        data = write_midi(Melody(notes=[NoteEvent(60, longest), NoteEvent(62, 4)]))
+        ons = [event.tick for event in parse_midi(data).events if event.kind == NOTE_ON]
+        assert ons == [0, longest * DIVISION // 4]
+        with pytest.raises(ValueError, match="does not fit a 4-byte variable-length quantity"):
+            write_midi(Melody(notes=[NoteEvent(60, longest + 1), NoteEvent(62, 4)]))
 
     def test_seed_phrase_round_trip_and_size(self):
         notes = [NoteEvent(60 + i, 4) for i in range(7)]
