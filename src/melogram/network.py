@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,15 +32,17 @@ class WeightsFormatError(ValueError):
     """Weights file is malformed or does not match the expected dimensions."""
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function in its tanh form, ``0.5 * (1 + tanh(z / 2))``.
 
     It is exactly 0.5 at 0, monotone and within 2.3e-16 of the exact
     logistic over [-40, 40]. From z = -38 down it returns exactly 0, where
     the exact value is 3e-17 or less (1e-17 at -39): ``1 + tanh(z / 2)``
-    rounds to 0 there.
+    rounds to 0 there. Given ``out``, which may be ``z`` itself, the result
+    is written there and no temporary is made.
     """
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    t = np.tanh(np.multiply(z, 0.5, out=out), out=out)
+    return np.multiply(np.add(t, 1.0, out=out), 0.5, out=out)
 
 
 def make_rng(*seed_parts: int) -> np.random.Generator:
@@ -125,19 +128,19 @@ def init_params(
     return LstmParams(W=W, U=U, b=b, V=glorot(input_size, hidden_size), c=np.zeros(input_size))
 
 
-def _cell(params: LstmParams, xw: np.ndarray, prev: LstmState):
-    """The gate equations: one step from ``prev`` given the input term ``xw = W x + b``.
+def _cell(z: np.ndarray, prev: LstmState, gates: np.ndarray, new: LstmState) -> None:
+    """The gate equations on the pre-activations ``z = W x + U h_prev + b``.
 
-    ``xw`` is (..., 4H) and broadcasts against the rows of ``prev``. Returns
-    the gates (i, o, f, candidate g) and the new state.
+    ``z`` is (4H,) or (k, 4H). ``gates``, (4, H) or (4, k, H), receives i, o,
+    f and the candidate g, and ``new`` the new state.
     """
-    H = params.hidden_size
-    z = prev.h @ params.U.T + xw
-    s = sigmoid(z[..., : 3 * H])
-    i, o, f = s[..., :H], s[..., H : 2 * H], s[..., 2 * H :]
-    g = np.tanh(z[..., 3 * H :])
-    C = i * g + f * prev.C
-    return (i, o, f, g), LstmState(C=C, h=o * np.tanh(C))
+    z = z.reshape(z.shape[:-1] + (4, -1)).swapaxes(0, -2)
+    sigmoid(z[:3], out=gates[:3])
+    np.tanh(z[3], out=gates[3])
+    i, o, f, g = gates
+    np.multiply(i, g, out=new.C)
+    new.C += f * prev.C
+    np.multiply(o, np.tanh(new.C, out=new.h), out=new.h)
 
 
 def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState) -> LstmState:
@@ -147,7 +150,11 @@ def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState) -> LstmState:
     states of shape (k, H) that all read the same ``x``; the recurrent
     product of a stack runs as one matrix product.
     """
-    return _cell(params, params.W @ x + params.b, prev)[1]
+    z = prev.h @ params.U.T
+    z += params.W @ x + params.b
+    new = LstmState(C=np.empty(prev.C.shape), h=np.empty(prev.C.shape))
+    _cell(z, prev, np.empty((4,) + prev.C.shape), new)
+    return new
 
 
 @dataclass
@@ -217,6 +224,26 @@ def one_hot(columns: np.ndarray, size: int) -> np.ndarray:
     return dense
 
 
+_workspace = threading.local()
+
+
+def _scratch(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Uninitialized views of this thread's training workspace, one per shape.
+
+    The views are consecutive slices from the front of one flat buffer that
+    grows to the largest total asked for, so a smaller batch reuses the front
+    of the same pages. They are valid until the next call; ``fit`` releases
+    the buffer when it returns.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = getattr(_workspace, "flat", None)
+    if flat is None or len(flat) < sum(sizes):
+        flat = _workspace.flat = np.empty(sum(sizes))
+    ends = np.cumsum(sizes).tolist()
+    return [flat[end - size : end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)]
+
+
 def batch_gradients(
     params: LstmParams,
     contexts: np.ndarray,
@@ -227,24 +254,28 @@ def batch_gradients(
     """Exact gradient of the mean batch loss via full BPTT.
 
     ``contexts`` is (B, W, E); targets are integer slot indices. Returns the
-    gradient (shaped like the parameters) and the mean loss.
+    gradient (shaped like the parameters, in fresh arrays) and the mean loss.
+    Gates, states and their gradients live in the thread's workspace; the
+    input projection and the weight gradients are one product per batch.
     """
     X = np.asarray(contexts, dtype=float)
     if X.ndim != 3:
         raise ValueError(f"contexts must be (batch, steps, features), got {X.shape}")
-    B, W, _ = X.shape
+    B, W, E = X.shape
     H = params.hidden_size
-
-    # Step-major (W, B, E) copy: a row-strided (B, E) slice times W.T is ~2x slower.
-    X = np.ascontiguousarray(X.transpose(1, 0, 2))
-    gates, states = [], [LstmState(C=np.zeros((B, H)), h=np.zeros((B, H)))]
+    # Step-major: row t*B + b of a (W*B, .) view is step t of example b. Z holds
+    # the pre-activations of the forward pass, then their gradients.
+    xs = np.ascontiguousarray(X.transpose(1, 0, 2))
+    Z, gates, C, h = _scratch((W, B, 4 * H), (W, 4, B, H), (W + 1, B, H), (W + 1, B, H))
+    np.matmul(xs.reshape(W * B, E), params.W.T, out=Z.reshape(W * B, 4 * H))
+    Z += params.b
+    C[0] = h[0] = 0.0
     for t in range(W):
-        gate, state = _cell(params, X[t] @ params.W.T + params.b, states[-1])
-        gates.append(gate)
-        states.append(state)
-    h = states[-1].h
+        # gates[t] holds the recurrent product until the cell writes the gates.
+        Z[t] += np.matmul(h[t], params.U.T, out=gates[t].reshape(B, 4 * H))
+        _cell(Z[t], LstmState(C[t], h[t]), gates[t], LstmState(C[t + 1], h[t + 1]))
 
-    raw = h @ params.V.T + params.c
+    raw = h[W] @ params.V.T + params.c
     lsp = _log_softmax(raw[:, :pitch_dim])
     lsd = _log_softmax(raw[:, pitch_dim:])
     rows = np.arange(B)
@@ -257,36 +288,29 @@ def batch_gradients(
     d_raw[rows, pitch_dim + dur_targets] -= 1.0
     d_raw /= B
 
-    grads = zeros_like_params(params)
-    grads.V += d_raw.T @ h
-    grads.c += d_raw.sum(axis=0)
     dh = d_raw @ params.V
-    dC_carry = np.zeros((B, H))
-
+    dC = np.zeros((B, H))
     for t in reversed(range(W)):
         i, o, f, g = gates[t]
-        prev = states[t]
-        tC = np.tanh(states[t + 1].C)
+        di, do, df, dg = (Z[t, :, k * H : (k + 1) * H] for k in range(4))
+        tanh_C = np.tanh(C[t + 1])
+        dC += dh * o * (1.0 - tanh_C * tanh_C)
+        np.multiply(dC * g * i, 1.0 - i, out=di)
+        np.multiply(dh * tanh_C * o, 1.0 - o, out=do)
+        np.multiply(dC * C[t] * f, 1.0 - f, out=df)
+        np.multiply(dC * i, 1.0 - g * g, out=dg)
+        dC *= f
+        if t:
+            np.matmul(Z[t], params.U, out=dh)
 
-        dC = dC_carry + dh * o * (1.0 - tC * tC)
-        dC_carry = dC * f
-        dz = np.concatenate((
-            dC * g * i * (1.0 - i),
-            dh * tC * o * (1.0 - o),
-            dC * prev.C * f * (1.0 - f),
-            dC * i * (1.0 - g * g),
-        ), axis=1)
-
-        grads.W += dz.T @ X[t]
-        grads.U += dz.T @ prev.h
-        grads.b += dz.sum(axis=0)
-        dh = dz @ params.U
-
+    dZ = Z.reshape(W * B, 4 * H)
+    grads = LstmParams(W=dZ.T @ xs.reshape(W * B, E), U=dZ.T @ h[:W].reshape(W * B, H),
+                       b=dZ.sum(axis=0), V=d_raw.T @ h[W], c=d_raw.sum(axis=0))
     return grads, mean_loss
 
 
 def global_norm(grads: LstmParams) -> float:
-    return float(np.sqrt(sum(float((arr * arr).sum()) for _, arr in grads.tensors())))
+    return math.sqrt(sum(float(np.vdot(arr, arr)) for _, arr in grads.tensors()))
 
 
 def clip_gradients(grads: LstmParams, max_norm: float) -> float:
@@ -324,7 +348,11 @@ def init_adam(params: LstmParams, *, lr: float) -> AdamState:
 
 
 def adam_update(params: LstmParams, grads: LstmParams, state: AdamState) -> None:
-    """One bias-corrected Adam step, applied to the parameters in place."""
+    """One bias-corrected Adam step, applied to the parameters in place.
+
+    ``grads`` is used as scratch and holds no gradient on return. The other
+    temporaries are views of the training workspace (see ``_scratch``).
+    """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_hat_scale = 1.0 / (1.0 - b1 ** state.t)
@@ -333,12 +361,17 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState) -> None
         g = getattr(grads, name)
         m = getattr(state.m, name)
         v = getattr(state.v, name)
+        (s,) = _scratch(g.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=s)
         v *= b2
-        v += (1.0 - b2) * g * g
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
+        # theta -= (lr * m_hat) / (sqrt(v_hat) + eps), with s and g as the temporaries.
+        np.sqrt(np.multiply(v, v_hat_scale, out=g), out=g)
+        g += ADAM_EPS
+        np.multiply(np.multiply(m, m_hat_scale, out=s), state.lr, out=s)
         theta = getattr(params, name)
-        theta -= state.lr * (m * m_hat_scale) / (np.sqrt(v * v_hat_scale) + ADAM_EPS)
+        theta -= np.divide(s, g, out=s)
 
 
 def fit(
@@ -387,28 +420,35 @@ def fit(
 
     adam = init_adam(params, lr=learning_rate)
     trace: list[float] = []
-    best_loss, kept, kept_params = np.inf, 0, None
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        total = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, batch_size):
-                batch = order[start : start + batch_size]
-                grads, batch_loss = batch_gradients(
-                    params, one_hot(contexts[batch], params.input_size),
-                    pitch_targets[batch], dur_targets[batch], pitch_dim,
-                )
-                clip_gradients(grads, clip_norm)
-                adam_update(params, grads, adam)
-                total += batch_loss * len(batch)
-        epoch_loss = total / n
-        if not np.isfinite(epoch_loss):
-            raise ValueError(f"training diverged: epoch {epoch} loss is {epoch_loss}")
-        trace.append(epoch_loss)
-        if best_loss - epoch_loss > plateau_threshold:
-            best_loss, kept, kept_params = epoch_loss, epoch, params.copy()
-        elif epoch - kept >= plateau_patience:
-            break
+    best_loss, kept, kept_params = np.inf, 0, params.copy()
+    try:
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            total = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, batch_size):
+                    batch = order[start : start + batch_size]
+                    # Expanded step-major, so batch_gradients reads it without a copy.
+                    dense = one_hot(contexts[batch].transpose(1, 0, 2), params.input_size)
+                    grads, batch_loss = batch_gradients(
+                        params, dense.transpose(1, 0, 2),
+                        pitch_targets[batch], dur_targets[batch], pitch_dim,
+                    )
+                    clip_gradients(grads, clip_norm)
+                    adam_update(params, grads, adam)
+                    total += batch_loss * len(batch)
+            epoch_loss = total / n
+            if not np.isfinite(epoch_loss):
+                raise ValueError(f"training diverged: epoch {epoch} loss is {epoch_loss}")
+            trace.append(epoch_loss)
+            if best_loss - epoch_loss > plateau_threshold:
+                best_loss, kept = epoch_loss, epoch
+                for name, arr in kept_params.tensors():
+                    arr[...] = getattr(params, name)
+            elif epoch - kept >= plateau_patience:
+                break
+    finally:
+        _workspace.flat = None  # the workspace lives for one fit
     if kept < len(trace):
         for name, arr in params.tensors():
             arr[...] = getattr(kept_params, name)

@@ -287,16 +287,28 @@ def train_modes(datasets: dict[str, np.ndarray], cfg: RunConfig
     result: a profiler of this process sees every training's result in the
     order serial calls would give them. The first failure in ``datasets``
     order is raised, its message led by its mode, once the trainings before
-    it have ended; those not started are then cancelled.
+    it have ended; those not started are then cancelled. A worker that dies
+    raises ``BrokenProcessPool`` naming the likeliest cause: a calling script
+    whose top-level code is not under ``if __name__ == "__main__":``.
     """
+    from concurrent.futures.process import BrokenProcessPool  # see _worker_pool's imports
+
     workers = min(len(datasets), _usable_cpus())
     results = {}
-    with _worker_pool(workers) as pool:
-        pending = {mode: pool.submit(train_on_examples, windows, cfg)
-                   for mode, windows in datasets.items()}
-        for mode, windows in datasets.items():
-            with naming(mode):
-                results[mode] = train_on_examples(windows, cfg, pending[mode])
+    try:
+        with _worker_pool(workers) as pool:
+            pending = {mode: pool.submit(train_on_examples, windows, cfg)
+                       for mode, windows in datasets.items()}
+            for mode, windows in datasets.items():
+                with naming(mode):
+                    results[mode] = train_on_examples(windows, cfg, pending[mode])
+    except BrokenProcessPool as exc:
+        raise BrokenProcessPool(
+            "a training worker process died. The likeliest cause is a script that "
+            'calls melogram without `if __name__ == "__main__":`. Each worker imports '
+            "the calling script, so its top-level code must sit under that guard. "
+            "A worker killed for want of memory also ends this way."
+        ) from exc
     return results
 
 

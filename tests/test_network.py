@@ -279,6 +279,160 @@ class TestLoss:
             assert self._loss(raw, (tp, td)) >= 0.0
 
 
+# --- per-step oracles: BPTT and Adam over fresh temporaries, one step at a time ---
+
+
+def oracle_batch_gradients(params, contexts, pitch_targets, dur_targets, pitch_dim):
+    """BPTT one step at a time, fresh arrays for every temporary: each step has
+    its own input projection and weight-gradient products."""
+    X = np.ascontiguousarray(np.asarray(contexts, dtype=float).transpose(1, 0, 2))
+    W, B, _ = X.shape
+    H = params.hidden_size
+    gates, states = [], [(np.zeros((B, H)), np.zeros((B, H)))]
+    for t in range(W):
+        z = states[-1][1] @ params.U.T + (X[t] @ params.W.T + params.b)
+        s = 0.5 * (1.0 + np.tanh(0.5 * z[:, : 3 * H]))
+        i, o, f = s[:, :H], s[:, H : 2 * H], s[:, 2 * H :]
+        g = np.tanh(z[:, 3 * H :])
+        C = i * g + f * states[-1][0]
+        gates.append((i, o, f, g))
+        states.append((C, o * np.tanh(C)))
+    h = states[-1][1]
+
+    raw = h @ params.V.T + params.c
+    lsp = nw._log_softmax(raw[:, :pitch_dim])
+    lsd = nw._log_softmax(raw[:, pitch_dim:])
+    rows = np.arange(B)
+    mean_loss = float(-(lsp[rows, pitch_targets] + lsd[rows, dur_targets]).mean())
+    d_raw = np.concatenate((np.exp(lsp), np.exp(lsd)), axis=1)
+    d_raw[rows, pitch_targets] -= 1.0
+    d_raw[rows, pitch_dim + dur_targets] -= 1.0
+    d_raw /= B
+
+    grads = zeros_like_params(params)
+    grads.V += d_raw.T @ h
+    grads.c += d_raw.sum(axis=0)
+    dh = d_raw @ params.V
+    dC_carry = np.zeros((B, H))
+    for t in reversed(range(W)):
+        i, o, f, g = gates[t]
+        prev_C, prev_h = states[t]
+        tC = np.tanh(states[t + 1][0])
+        dC = dC_carry + dh * o * (1.0 - tC * tC)
+        dC_carry = dC * f
+        dz = np.concatenate((
+            dC * g * i * (1.0 - i),
+            dh * tC * o * (1.0 - o),
+            dC * prev_C * f * (1.0 - f),
+            dC * i * (1.0 - g * g),
+        ), axis=1)
+        grads.W += dz.T @ X[t]
+        grads.U += dz.T @ prev_h
+        grads.b += dz.sum(axis=0)
+        dh = dz @ params.U
+    return grads, mean_loss
+
+
+def oracle_adam_update(params, grads, state):
+    """The Adam step as a formula over fresh temporaries; ``grads`` untouched."""
+    state.t += 1
+    b1, b2 = nw.ADAM_BETA1, nw.ADAM_BETA2
+    m_hat_scale = 1.0 / (1.0 - b1 ** state.t)
+    v_hat_scale = 1.0 / (1.0 - b2 ** state.t)
+    for name, theta in params.tensors():
+        g, m, v = getattr(grads, name), getattr(state.m, name), getattr(state.v, name)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        theta -= state.lr * (m * m_hat_scale) / (np.sqrt(v * v_hat_scale) + nw.ADAM_EPS)
+
+
+def max_scaled_error(a: LstmParams, b: LstmParams) -> float:
+    """Largest |a - b| of any tensor, relative to that tensor's largest |b|."""
+    return max(float(np.abs(arr - getattr(b, name)).max() / np.abs(getattr(b, name)).max())
+               for name, arr in a.tensors())
+
+
+def two_hot_batch(rng, B, W=7, P=59, D=30):
+    """Dense (B, W, P + D) inputs with one pitch and one duration column hot, and targets."""
+    columns = np.stack([rng.integers(0, P, (B, W)), P + rng.integers(0, D, (B, W))], axis=-1)
+    return one_hot(columns, P + D), rng.integers(0, P, B), rng.integers(0, D, B)
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("batch", [64, 13], ids=["full-batch", "partial-batch"])
+    def test_batch_gradients_match_per_step_oracle(self, batch):
+        rng = make_rng(21)
+        params = init_params(89, 128, rng)
+        X, yp, yd = two_hot_batch(rng, batch)
+        grads, loss = batch_gradients(params, X, yp, yd, 59)
+        want, want_loss = oracle_batch_gradients(params, X, yp, yd, 59)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+        assert max_scaled_error(grads, want) <= 1e-12
+
+    def test_adam_matches_formula_over_ten_steps(self):
+        rng = make_rng(22)
+        params = init_params(9, 5, rng)
+        reference = params.copy()
+        state, reference_state = init_adam(params, lr=0.01), init_adam(reference, lr=0.01)
+        for _ in range(10):
+            grads = LstmParams(**{name: rng.standard_normal(arr.shape)
+                                  for name, arr in params.tensors()})
+            oracle_adam_update(reference, grads.copy(), reference_state)
+            adam_update(params, grads, state)
+        assert state.t == reference_state.t == 10
+        for got, want in ((params, reference), (state.m, reference_state.m),
+                          (state.v, reference_state.v)):
+            assert max_relative_error(got, want) <= 1e-15
+
+
+class TestWorkspace:
+    CASES = [(64, 7, 89, 16), (13, 7, 89, 16), (5, 3, 12, 6)]  # (B, W, E, H)
+
+    def _call(self, B, W, E, H):
+        rng = make_rng(B, W, E, H)
+        params = init_params(E, H, rng)
+        X, yp, yd = rng.random((B, W, E)), rng.integers(0, 4, B), rng.integers(0, E - 4, B)
+        return batch_gradients(params, X, yp, yd, 4)
+
+    def test_reused_workspace_gives_the_bits_of_a_fresh_one(self):
+        fresh = []
+        for case in self.CASES:
+            nw._workspace.flat = None
+            fresh.append(self._call(*case))
+        nw._workspace.flat = None
+        for case, (want, want_loss) in zip(self.CASES, fresh):
+            if nw._workspace.flat is not None:  # no stale value may be read
+                nw._workspace.flat[:] = np.nan
+            grads, loss = self._call(*case)
+            assert loss == want_loss
+            for name, arr in grads.tensors():
+                assert arr.tobytes() == getattr(want, name).tobytes(), (case, name)
+
+    def test_returned_gradients_survive_the_next_call(self):
+        grads, _ = self._call(*self.CASES[0])
+        snapshot = grads.copy()
+        self._call(*self.CASES[0])
+        for name, arr in grads.tensors():
+            assert not np.shares_memory(arr, nw._workspace.flat), name
+            assert arr.tobytes() == getattr(snapshot, name).tobytes(), name
+
+    def test_fit_releases_the_workspace(self):
+        rng = make_rng(23)
+        X = rng.integers(0, 12, (20, 3, 1))
+        yp, yd = rng.integers(0, 8, 20), rng.integers(0, 4, 20)
+        self._call(*self.CASES[0])
+        fit(init_params(12, 4, rng), X, yp, yd, 8, epochs=2, batch_size=8, rng=make_rng(4),
+            **TRAINING)
+        assert nw._workspace.flat is None
+        params = init_params(12, 4, rng)
+        params.V[0, 0] = np.nan
+        with pytest.raises(ValueError, match="diverged"):
+            fit(params, X, yp, yd, 8, epochs=2, batch_size=8, rng=make_rng(4), **TRAINING)
+        assert nw._workspace.flat is None
+
+
 class TestBatchGradients:
     def test_matches_finite_differences(self):
         rng = make_rng(17)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from functools import wraps
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +193,28 @@ class TestTrainModes:
             pipeline.train_modes(self.datasets(cfg, empty=("spi", "mix")), cfg)
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
+
+    def test_script_without_main_guard_is_told_the_fix(self, tmp_path):
+        # Each spawned worker imports the script, so its top-level call to
+        # train_modes runs again in the worker, which may not start processes.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import sys\n"
+            f"sys.path[:0] = [{str(Path(__file__).parent)!r}, "
+            f"{str(Path(pipeline.__file__).parents[1])!r}]\n"
+            "from melogram import pipeline\n"
+            "from test_pipeline import tiny_config, tiny_corpus\n"
+            "cfg = tiny_config()\n"
+            "windows = pipeline.corpus_windows(tiny_corpus(cfg), cfg)\n"
+            "pipeline.train_modes({'dia': windows, 'spi': windows}, cfg)\n"
+        )
+        run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             timeout=300, cwd=tmp_path)
+        assert run.returncode != 0
+        last = run.stderr.strip().splitlines()[-1]
+        assert last.startswith("concurrent.futures.process.BrokenProcessPool: "
+                               "a training worker process died."), run.stderr
+        assert 'without `if __name__ == "__main__":`' in last
 
     @pytest.mark.parametrize("parent", ["2", None])
     def test_workers_start_with_one_blas_thread(self, monkeypatch, parent):
