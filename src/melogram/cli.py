@@ -5,9 +5,9 @@ files, ``train`` fits the base weights, ``amend`` harvests rule-filtered
 generation, ``retrain`` fits the augmented weight sets, ``generate`` samples
 melodies, ``evaluate`` reports the metrics and ``export`` writes MIDI.
 ``run-all`` performs the whole five-mode experiment into one run directory.
-Each command parses its arguments, loads its inputs and calls one function
-of ``pipeline``; ``run-all`` calls ``run_experiment``, which composes the
-same stage functions, so the staged chain and ``run-all`` write the same files.
+``main`` parses the arguments and loads the config; each command calls one
+function of ``pipeline``; ``run-all`` calls ``run_experiment``, which composes
+the same stage functions, so the staged chain and ``run-all`` write the same files.
 
 The ``--config`` file is the only source of config values; keys it omits
 keep their defaults. Exit codes: 0 success, 2 validation failure (a config
@@ -67,8 +67,7 @@ def _seed_phrase(args, cfg: pipeline.RunConfig) -> list[NoteEvent]:
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    cfg = load_config(args.config)
+def cmd_ingest(args, cfg: pipeline.RunConfig) -> None:
     corpus = pipeline.ingest(
         Path(args.midi_dir), cfg,
         key=Key.parse(args.key) if args.key else None,
@@ -77,39 +76,30 @@ def cmd_ingest(args) -> int:
     )
     pipeline.save_corpus(Path(args.out), corpus)
     log.info("wrote %d pieces to %s", len(corpus), args.out)
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+def cmd_train(args, cfg: pipeline.RunConfig) -> None:
     pipeline.train(pipeline.load_corpus(Path(args.corpus)), cfg, Path(args.run_dir))
-    return EXIT_OK
 
 
-def cmd_amend(args) -> int:
-    cfg = load_config(args.config)
+def cmd_amend(args, cfg: pipeline.RunConfig) -> None:
     rules = grammar.parse_rules(args.rules) if args.rules else None
     pipeline.amend(_seed_phrase(args, cfg), cfg, Path(args.run_dir), rules=rules)
-    return EXIT_OK
 
 
-def cmd_retrain(args) -> int:
-    cfg = load_config(args.config)
+def cmd_retrain(args, cfg: pipeline.RunConfig) -> None:
     pipeline.retrain(pipeline.load_corpus(Path(args.corpus)), cfg, Path(args.run_dir))
-    return EXIT_OK
 
 
-def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_generate(args, cfg: pipeline.RunConfig) -> None:
     pipeline.generate(
         Path(args.run_dir), args.mode, _seed_phrase(args, cfg), args.notes, cfg,
         out=Path(args.out) if args.out else None,
         midi_out=Path(args.midi_out) if args.midi_out else None,
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, cfg: pipeline.RunConfig) -> None:
     reports: dict[str, metrics.MetricsReport] = {}
     sources: dict[str, str] = {}  # report column -> the file it came from
     if args.corpus:
@@ -119,7 +109,7 @@ def cmd_evaluate(args) -> int:
         sources["DS"] = args.corpus
     for path_text in args.melodies:
         path = Path(path_text)
-        label = pipeline.MODE_LABELS.get(path.stem, path.stem)
+        label = metrics.MODE_COLUMNS.get(path.stem, path.stem)
         if label in sources:
             raise ValueError(f"{sources[label]} and {path_text} both map to "
                              f"report column {label!r}")
@@ -132,20 +122,17 @@ def cmd_evaluate(args) -> int:
     else:
         table = metrics.report_table(reports)
     sys.stdout.write(table)
-    return EXIT_OK
 
 
-def cmd_export(args) -> int:
+def cmd_export(args, cfg: pipeline.RunConfig) -> None:
     notes = pipeline.load_melody(Path(args.melody))
     with pipeline.naming(args.melody):
         data = midi.write_midi(Melody(notes=notes))
     Path(args.out).write_bytes(data)
     log.info("wrote %d bytes to %s", len(data), args.out)
-    return EXIT_OK
 
 
-def cmd_run_all(args) -> int:
-    cfg = load_config(args.config)
+def cmd_run_all(args, cfg: pipeline.RunConfig) -> None:
     corpus = pipeline.load_corpus(Path(args.corpus))
     manifest = pipeline.run_experiment(
         corpus, cfg, Path(args.run_dir),
@@ -155,14 +142,12 @@ def cmd_run_all(args) -> int:
     sys.stdout.write((Path(args.run_dir) / "report.txt").read_text())
     log.info("run complete: %d modes, manifest at %s/manifest.json",
              len(manifest["modes"]), args.run_dir)
-    return EXIT_OK
 
 
-def cmd_init_config(args) -> int:
+def cmd_init_config(args, cfg: pipeline.RunConfig) -> None:
     cfg_dict = pipeline.config_to_dict(pipeline.RunConfig())
     Path(args.out).write_text(json.dumps(cfg_dict, indent=2, sort_keys=True) + "\n")
     log.info("wrote default config to %s", args.out)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,6 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Options shared by several commands, each declared once.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config")
+    run.add_argument("--run-dir", required=True)
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--corpus", help="corpus to take the default seed phrase from")
+    seed.add_argument("--seed-phrase", help="notes as pitch:duration pairs, e.g. 60:4,64:2,...")
 
     p = sub.add_parser("ingest", help="build a corpus file from a directory of MIDI files")
     p.add_argument("midi_dir")
@@ -184,33 +179,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep pieces whose time signature is not 4/4")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="train the base weights on a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--config")
-    p.add_argument("--run-dir", required=True)
+    p = sub.add_parser("train", parents=[corpus, run], help="train the base weights on a corpus")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("amend", help="filtered generation that harvests amended pairs")
-    p.add_argument("--corpus", help="corpus to take the default seed phrase from")
-    p.add_argument("--config")
-    p.add_argument("--run-dir", required=True)
+    p = sub.add_parser("amend", parents=[seed, run],
+                       help="filtered generation that harvests amended pairs")
     p.add_argument("--rules", help="comma-separated subset of dia,spi,tri (default all)")
-    p.add_argument("--seed-phrase", help="notes as pitch:duration pairs, e.g. 60:4,64:2,...")
     p.set_defaults(func=cmd_amend)
 
-    p = sub.add_parser("retrain", help="train dia/spi/tri/mix weights on augmented data")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--config")
-    p.add_argument("--run-dir", required=True)
+    p = sub.add_parser("retrain", parents=[corpus, run],
+                       help="train dia/spi/tri/mix weights on augmented data")
     p.set_defaults(func=cmd_retrain)
 
-    p = sub.add_parser("generate", help="free generation from one weight set")
-    p.add_argument("--run-dir", required=True)
-    p.add_argument("--config")
+    p = sub.add_parser("generate", parents=[run, seed], help="free generation from one weight set")
     p.add_argument("--mode", required=True, choices=list(pipeline.MODES))
     p.add_argument("-n", "--notes", type=int, required=True)
-    p.add_argument("--corpus", help="corpus to take the default seed phrase from")
-    p.add_argument("--seed-phrase")
     p.add_argument("--out", help="melody JSON path (default melodies/<mode>.json)")
     p.add_argument("--midi-out", help="also export the melody as MIDI")
     p.set_defaults(func=cmd_generate)
@@ -226,10 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("run-all", help="full five-mode experiment into a run directory")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--config")
-    p.add_argument("--run-dir", required=True)
+    p = sub.add_parser("run-all", parents=[corpus, run],
+                       help="full five-mode experiment into a run directory")
     p.add_argument("--seed-phrase")
     p.add_argument("--no-midi", action="store_true", help="skip MIDI exports")
     p.set_defaults(func=cmd_run_all)
@@ -248,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        args.func(args, load_config(getattr(args, "config", None)))
+        return EXIT_OK
     except pipeline.InputFormatError as exc:
         log.error("%s", exc)
         return EXIT_PARSE

@@ -27,7 +27,8 @@ from .notes import NoteEvent
 TONE_NAMES = ("C", "D", "E", "F", "G", "A", "B")
 _TONE_CLASSES = dict(zip(TONE_NAMES, sorted(DIATONIC_CLASSES)))
 
-MODE_COLUMNS = ("DS", "Orig", "DIA", "SPI", "TRI", "MIX")
+# Each mode's report column, in report order after the corpus's "DS".
+MODE_COLUMNS = {"orig": "Orig", "dia": "DIA", "spi": "SPI", "tri": "TRI", "mix": "MIX"}
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,6 @@ def report_table(reports: Mapping[str, MetricsReport]) -> str:
 
 
 def _column_order(reports: Mapping[str, MetricsReport]) -> list[str]:
-    known = [mode for mode in MODE_COLUMNS if mode in reports]
+    known = [column for column in ("DS", *MODE_COLUMNS.values()) if column in reports]
     extra = sorted(set(reports) - set(known))
     return known + extra

@@ -43,7 +43,6 @@ from .notes import Key, Melody, NoteEvent, fold_octaves
 MODES = ("orig", "dia", "spi", "tri", "mix")
 RULE_ORDER = (Rule.DIA, Rule.SPI, Rule.TRI)
 ALL_RULE_SET = frozenset(Rule)
-MODE_LABELS = {"orig": "Orig", "dia": "DIA", "spi": "SPI", "tri": "TRI", "mix": "MIX"}
 MANIFEST = "manifest.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -481,7 +480,7 @@ def _field(obj, key: str, kind: type, where: str):
     if key not in _object(obj, where):
         raise InputFormatError(f"{where or 'top level'}: missing field {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    if type(value) is not kind:  # a JSON true is no int
         raise InputFormatError(f"{_join(where, key)}: expected {kind.__name__}, "
                                f"got {type(value).__name__}")
     return value
@@ -570,11 +569,14 @@ def _amended_from_obj(payload) -> list[AmendedPair]:
             rule_set = frozenset(Rule(name) for name in rules)
         except ValueError as exc:
             raise InputFormatError(f"{where}.rules: {exc}") from None
+        attempts = _field(item, "attempts", int, where)
+        if attempts < 2:  # an amended note replaced a refused first draw
+            raise InputFormatError(f"{where}.attempts: must be >= 2, got {attempts}")
         pairs.append(AmendedPair(
             context=tuple(_note_from(n, f"{where}.context[{k}]") for k, n in enumerate(context)),
             note=_note_from(_field(item, "note", list, where), f"{where}.note"),
             rule_set=rule_set,
-            attempts=_field(item, "attempts", int, where),
+            attempts=attempts,
         ))
     return pairs
 
@@ -794,7 +796,7 @@ def run_experiment(
     for mode in MODES:
         midi_out = out_dir / "melodies" / f"{mode}.mid" if export_midi else None
         notes = generate(out_dir, mode, seed_phrase, cfg.phase2_notes, cfg, midi_out=midi_out)
-        reports[MODE_LABELS[mode]] = metrics.evaluate(notes)
+        reports[metrics.MODE_COLUMNS[mode]] = metrics.evaluate(notes)
     write_report(reports, out_dir)
     return read_manifest(out_dir)
 

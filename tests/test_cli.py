@@ -6,6 +6,7 @@ import dataclasses
 import json
 import multiprocessing
 import re
+import shlex
 import shutil
 import threading
 import warnings
@@ -644,3 +645,26 @@ class TestConfigHandling:
         assert notes == [NoteEvent(60, 4), NoteEvent(64, 2), NoteEvent(67, 1)]
         with pytest.raises(ValueError, match="bad seed note"):
             cli.parse_seed_phrase("60-4")
+
+
+def readme_cli_lines() -> list[str]:
+    """Every ``melogram ...`` line of README.md's ``sh`` blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    return [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("melogram ")]
+
+
+class TestReadmeExamples:
+    def test_every_readme_example_parses(self):
+        parser = cli.build_parser()
+        shown = set()
+        for line in readme_cli_lines():
+            try:
+                args = parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
+            assert args.func is getattr(cli, "cmd_" + args.command.replace("-", "_"))
+            shown.add(args.command)
+        commands = next(action.choices for action in parser._actions if action.dest == "command")
+        assert shown == set(commands)  # the README shows every command

@@ -586,9 +586,19 @@ class TestInputSchemas:
          "[0].rules"),
         (pipeline.load_amended, '[{"context": [[60, 4]], "note": [61, 4], "rules": []}]',
          "[0]: missing field 'attempts'"),
+        (pipeline.load_corpus,
+         '{"pieces": [{"notes": [], "source_key": {"tonic": true, "mode": "major"}}]}',
+         "pieces[0].source_key.tonic: expected int, got bool"),
+        (pipeline.load_amended,
+         '[{"context": [[60, 4]], "note": [61, 4], "rules": ["dia"], "attempts": true}]',
+         "[0].attempts: expected int, got bool"),
+        (pipeline.load_amended,
+         '[{"context": [[60, 4]], "note": [61, 4], "rules": ["dia"], "attempts": -3}]',
+         "[0].attempts: must be >= 2, got -3"),
     ], ids=["corpus-no-pieces", "corpus-notes-int", "corpus-short-note", "corpus-piece-list",
             "melody-pitch", "melody-key", "melody-json", "amended-object", "amended-note",
-            "amended-rule", "amended-attempts"])
+            "amended-rule", "amended-attempts", "corpus-key-bool", "amended-attempts-bool",
+            "amended-attempts-negative"])
     def test_schema_error_names_file_and_field(self, tmp_path, loader, text, where):
         path = tmp_path / "input.json"
         path.write_text(text)
