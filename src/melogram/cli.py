@@ -21,7 +21,6 @@ manifest that is not a JSON object, each named), 4 unexpected runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -58,7 +57,7 @@ def parse_seed_phrase(text: str) -> list[NoteEvent]:
 
 def _seed_phrase(args, cfg: pipeline.RunConfig) -> list[NoteEvent]:
     """``--seed-phrase`` when given, else the corpus's default seed phrase."""
-    if args.seed_phrase:
+    if args.seed_phrase is not None:
         return parse_seed_phrase(args.seed_phrase)
     if args.corpus is None:
         raise ValueError("need --seed-phrase or --corpus to derive one")
@@ -83,7 +82,7 @@ def cmd_train(args, cfg: pipeline.RunConfig) -> None:
 
 
 def cmd_amend(args, cfg: pipeline.RunConfig) -> None:
-    rules = grammar.parse_rules(args.rules) if args.rules else None
+    rules = None if args.rules is None else grammar.parse_rules(args.rules)
     pipeline.amend(_seed_phrase(args, cfg), cfg, Path(args.run_dir), rules=rules)
 
 
@@ -136,7 +135,7 @@ def cmd_run_all(args, cfg: pipeline.RunConfig) -> None:
     corpus = pipeline.load_corpus(Path(args.corpus))
     manifest = pipeline.run_experiment(
         corpus, cfg, Path(args.run_dir),
-        seed_phrase=parse_seed_phrase(args.seed_phrase) if args.seed_phrase else None,
+        seed_phrase=None if args.seed_phrase is None else parse_seed_phrase(args.seed_phrase),
         export_midi=not args.no_midi,
     )
     sys.stdout.write((Path(args.run_dir) / "report.txt").read_text())
@@ -145,8 +144,8 @@ def cmd_run_all(args, cfg: pipeline.RunConfig) -> None:
 
 
 def cmd_init_config(args, cfg: pipeline.RunConfig) -> None:
-    cfg_dict = pipeline.config_to_dict(pipeline.RunConfig())
-    Path(args.out).write_text(json.dumps(cfg_dict, indent=2, sort_keys=True) + "\n")
+    defaults = pipeline.config_to_dict(pipeline.RunConfig())
+    Path(args.out).write_text(pipeline.json_text(defaults))
     log.info("wrote default config to %s", args.out)
 
 

@@ -80,19 +80,14 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def read_u8(self) -> int:
-        return self.read_bytes(1)[0]
-
-    def read_u16(self) -> int:
-        return int.from_bytes(self.read_bytes(2), "big")
-
-    def read_u32(self) -> int:
-        return int.from_bytes(self.read_bytes(4), "big")
+    def read_int(self, n: int) -> int:
+        """An unsigned big-endian integer of ``n`` bytes."""
+        return int.from_bytes(self.read_bytes(n), "big")
 
     def read_vlq(self) -> int:
         value = 0
         for _ in range(4):  # VLQ is at most 4 bytes
-            byte = self.read_u8()
+            byte = self.read_int(1)
             value = (value << 7) | (byte & 0x7F)
             if not byte & 0x80:
                 return value
@@ -104,14 +99,14 @@ def parse_midi(data: bytes) -> ParsedMidi:
     reader = _Reader(data)
     if reader.remaining() < 4 or reader.read_bytes(4) != b"MThd":
         raise MidiParseError("missing MThd header chunk", 0)
-    header_len = reader.read_u32()
+    header_len = reader.read_int(4)
     if header_len != 6:
         raise MidiParseError(f"MThd length must be 6, got {header_len}", 4)
-    fmt = reader.read_u16()
+    fmt = reader.read_int(2)
     if fmt not in (0, 1):
         raise MidiParseError(f"unsupported SMF format {fmt}", 8)
-    ntrks = reader.read_u16()
-    division = reader.read_u16()
+    ntrks = reader.read_int(2)
+    division = reader.read_int(2)
     if division & 0x8000:
         raise MidiParseError("SMPTE divisions are not supported", 12)
     if division == 0:
@@ -123,7 +118,7 @@ def parse_midi(data: bytes) -> ParsedMidi:
         if reader.remaining() < 8:
             raise MidiParseError(f"expected {ntrks} tracks, found {found}", reader.pos)
         chunk_id = reader.read_bytes(4)
-        chunk_len = reader.read_u32()
+        chunk_len = reader.read_int(4)
         if reader.remaining() < chunk_len:
             raise MidiParseError(
                 f"chunk length {chunk_len} exceeds remaining data", reader.pos
@@ -144,7 +139,7 @@ def _parse_track(reader: _Reader) -> list[RawTrackEvent]:
     running_status: int | None = None
     while reader.remaining() > 0:
         tick += reader.read_vlq()
-        status = reader.read_u8()
+        status = reader.read_int(1)
         if status < 0x80:
             if running_status is None:
                 raise MidiParseError("data byte with no running status", reader.pos - 1)
@@ -152,7 +147,7 @@ def _parse_track(reader: _Reader) -> list[RawTrackEvent]:
             status = running_status
         if status == 0xFF:
             running_status = None
-            meta_type = reader.read_u8()
+            meta_type = reader.read_int(1)
             payload = reader.read_bytes(reader.read_vlq())
             if meta_type == 0x2F:  # end of track
                 break
@@ -293,12 +288,8 @@ def quantize_durations(melody: Melody, division: int, vocab: NoteVocabulary) -> 
     notes = []
     for note in melody.notes:
         sixteenths = note.duration * 4.0 / division
-        best = vocab.durations[0]
-        best_err = abs(sixteenths - best)
-        for entry in vocab.durations[1:]:
-            err = abs(sixteenths - entry)
-            if err < best_err:  # strict: ties keep the earlier, shorter entry
-                best, best_err = entry, err
+        # min keeps the first of equal errors, so a tie snaps to the shorter entry.
+        best = min(vocab.durations, key=lambda entry: abs(sixteenths - entry))
         notes.append(NoteEvent(pitch=note.pitch, duration=best))
     return Melody(notes=notes, source_key=melody.source_key)
 
@@ -371,10 +362,11 @@ def write_midi(melody: Melody) -> bytes:
     track += _vlq(0) + bytes([0xFF, 0x51, 0x03]) + TEMPO_US.to_bytes(3, "big")
     track += _vlq(0) + bytes([0xFF, 0x58, 0x04, 4, 2, 24, 8])  # 4/4
     key = melody.source_key or C_MAJOR
-    sharps = _SHARPS_FOR_TONIC[(key.tonic - (9 if key.mode == "minor" else 0)) % 12]
-    track += _vlq(0) + bytes(
-        [0xFF, 0x59, 0x02, sharps & 0xFF, 1 if key.mode == "minor" else 0]
-    )
+    # The inverse of first_key_signature: the relative major's tonic, a fifth per sharp.
+    minor = key.mode == "minor"
+    sharps = (key.tonic - 9 * minor) * 7 % 12
+    sharps -= 12 if sharps > 6 else 0
+    track += _vlq(0) + bytes([0xFF, 0x59, 0x02, sharps & 0xFF, minor])
     for note in melody.notes:
         track += _vlq(0) + bytes([0x90, note.pitch, 64])
         track += _vlq(note.duration * DIVISION // 4) + bytes([0x80, note.pitch, 0])
@@ -384,6 +376,3 @@ def write_midi(melody: Melody) -> bytes:
     header += (0).to_bytes(2, "big") + (1).to_bytes(2, "big") + DIVISION.to_bytes(2, "big")
     return header + b"MTrk" + len(track).to_bytes(4, "big") + bytes(track)
 
-
-# Sharps (negative = flats) in the major key signature for each tonic class.
-_SHARPS_FOR_TONIC = {0: 0, 7: 1, 2: 2, 9: 3, 4: 4, 11: 5, 6: 6, 1: -5, 8: -4, 3: -3, 10: -2, 5: -1}

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,26 +223,6 @@ def one_hot(columns: np.ndarray, size: int) -> np.ndarray:
     return dense
 
 
-_workspace = threading.local()
-
-
-def _scratch(*shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """Uninitialized views of this thread's training workspace, one per shape.
-
-    The views are consecutive slices from the front of one flat buffer that
-    grows to the largest total asked for, so a smaller batch reuses the front
-    of the same pages. They are valid until the next call; ``fit`` releases
-    the buffer when it returns.
-    """
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = getattr(_workspace, "flat", None)
-    if flat is None or len(flat) < sum(sizes):
-        flat = _workspace.flat = np.empty(sum(sizes))
-    ends = np.cumsum(sizes).tolist()
-    return [flat[end - size : end].reshape(shape)
-            for shape, size, end in zip(shapes, sizes, ends)]
-
-
 def batch_gradients(
     params: LstmParams,
     contexts: np.ndarray,
@@ -254,9 +233,8 @@ def batch_gradients(
     """Exact gradient of the mean batch loss via full BPTT.
 
     ``contexts`` is (B, W, E); targets are integer slot indices. Returns the
-    gradient (shaped like the parameters, in fresh arrays) and the mean loss.
-    Gates, states and their gradients live in the thread's workspace; the
-    input projection and the weight gradients are one product per batch.
+    gradient (shaped like the parameters) and the mean loss. The input
+    projection and the weight gradients are one product per batch.
     """
     X = np.asarray(contexts, dtype=float)
     if X.ndim != 3:
@@ -266,7 +244,8 @@ def batch_gradients(
     # Step-major: row t*B + b of a (W*B, .) view is step t of example b. Z holds
     # the pre-activations of the forward pass, then their gradients.
     xs = np.ascontiguousarray(X.transpose(1, 0, 2))
-    Z, gates, C, h = _scratch((W, B, 4 * H), (W, 4, B, H), (W + 1, B, H), (W + 1, B, H))
+    Z, gates = np.empty((W, B, 4 * H)), np.empty((W, 4, B, H))
+    C, h = np.empty((W + 1, B, H)), np.empty((W + 1, B, H))
     np.matmul(xs.reshape(W * B, E), params.W.T, out=Z.reshape(W * B, 4 * H))
     Z += params.b
     C[0] = h[0] = 0.0
@@ -348,30 +327,18 @@ def init_adam(params: LstmParams, *, lr: float) -> AdamState:
 
 
 def adam_update(params: LstmParams, grads: LstmParams, state: AdamState) -> None:
-    """One bias-corrected Adam step, applied to the parameters in place.
-
-    ``grads`` is used as scratch and holds no gradient on return. The other
-    temporaries are views of the training workspace (see ``_scratch``).
-    """
+    """One bias-corrected Adam step, applied to the parameters in place."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_hat_scale = 1.0 / (1.0 - b1 ** state.t)
     v_hat_scale = 1.0 / (1.0 - b2 ** state.t)
-    for name in PARAM_FIELDS:
-        g = getattr(grads, name)
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
-        (s,) = _scratch(g.shape)
+    for name, theta in params.tensors():
+        g, m, v = getattr(grads, name), getattr(state.m, name), getattr(state.v, name)
         m *= b1
-        m += np.multiply(g, 1.0 - b1, out=s)
+        m += (1.0 - b1) * g
         v *= b2
-        v += np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
-        # theta -= (lr * m_hat) / (sqrt(v_hat) + eps), with s and g as the temporaries.
-        np.sqrt(np.multiply(v, v_hat_scale, out=g), out=g)
-        g += ADAM_EPS
-        np.multiply(np.multiply(m, m_hat_scale, out=s), state.lr, out=s)
-        theta = getattr(params, name)
-        theta -= np.divide(s, g, out=s)
+        v += (1.0 - b2) * g * g
+        theta -= state.lr * (m * m_hat_scale) / (np.sqrt(v * v_hat_scale) + ADAM_EPS)
 
 
 def fit(
@@ -421,34 +388,31 @@ def fit(
     adam = init_adam(params, lr=learning_rate)
     trace: list[float] = []
     best_loss, kept, kept_params = np.inf, 0, params.copy()
-    try:
-        for epoch in range(1, epochs + 1):
-            order = rng.permutation(n)
-            total = 0.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, n, batch_size):
-                    batch = order[start : start + batch_size]
-                    # Expanded step-major, so batch_gradients reads it without a copy.
-                    dense = one_hot(contexts[batch].transpose(1, 0, 2), params.input_size)
-                    grads, batch_loss = batch_gradients(
-                        params, dense.transpose(1, 0, 2),
-                        pitch_targets[batch], dur_targets[batch], pitch_dim,
-                    )
-                    clip_gradients(grads, clip_norm)
-                    adam_update(params, grads, adam)
-                    total += batch_loss * len(batch)
-            epoch_loss = total / n
-            if not np.isfinite(epoch_loss):
-                raise ValueError(f"training diverged: epoch {epoch} loss is {epoch_loss}")
-            trace.append(epoch_loss)
-            if best_loss - epoch_loss > plateau_threshold:
-                best_loss, kept = epoch_loss, epoch
-                for name, arr in kept_params.tensors():
-                    arr[...] = getattr(params, name)
-            elif epoch - kept >= plateau_patience:
-                break
-    finally:
-        _workspace.flat = None  # the workspace lives for one fit
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        total = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, batch_size):
+                batch = order[start : start + batch_size]
+                # Expanded step-major, so batch_gradients reads it without a copy.
+                dense = one_hot(contexts[batch].transpose(1, 0, 2), params.input_size)
+                grads, batch_loss = batch_gradients(
+                    params, dense.transpose(1, 0, 2),
+                    pitch_targets[batch], dur_targets[batch], pitch_dim,
+                )
+                clip_gradients(grads, clip_norm)
+                adam_update(params, grads, adam)
+                total += batch_loss * len(batch)
+        epoch_loss = total / n
+        if not np.isfinite(epoch_loss):
+            raise ValueError(f"training diverged: epoch {epoch} loss is {epoch_loss}")
+        trace.append(epoch_loss)
+        if best_loss - epoch_loss > plateau_threshold:
+            best_loss, kept = epoch_loss, epoch
+            for name, arr in kept_params.tensors():
+                arr[...] = getattr(params, name)
+        elif epoch - kept >= plateau_patience:
+            break
     if kept < len(trace):
         for name, arr in params.tensors():
             arr[...] = getattr(kept_params, name)

@@ -427,8 +427,13 @@ def file_fingerprint(path: Path) -> str:
 
 # --- corpus / melody / amendment file schemas (JSON) -----------------------
 
+def json_text(payload, indent: int | None = 2) -> str:
+    """The text every JSON file of the program holds: sorted keys, one final newline."""
+    return json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+
+
 def melody_to_obj(melody: Melody) -> dict:
-    obj: dict = {"notes": [[n.pitch, n.duration] for n in melody.notes]}
+    obj: dict = {"notes": [_note_obj(n) for n in melody.notes]}
     if melody.source_key is not None:
         obj["source_key"] = {
             "tonic": melody.source_key.tonic,
@@ -486,6 +491,10 @@ def _field(obj, key: str, kind: type, where: str):
     return value
 
 
+def _note_obj(note: NoteEvent) -> list[int]:
+    return [note.pitch, note.duration]
+
+
 def _note_from(item, where: str) -> NoteEvent:
     """A note stored as a ``[pitch, duration]`` pair of integers."""
     if not (isinstance(item, list) and len(item) == 2
@@ -519,7 +528,7 @@ def melody_from_obj(obj: dict, where: str = "") -> Melody:
 
 def save_corpus(path: Path, corpus: list[Melody]) -> None:
     payload = {"pieces": [melody_to_obj(m) for m in corpus]}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(payload))
 
 
 def load_corpus(path: Path) -> list[Melody]:
@@ -530,9 +539,7 @@ def load_corpus(path: Path) -> list[Melody]:
 
 
 def save_melody(path: Path, notes: list[NoteEvent]) -> None:
-    Path(path).write_text(
-        json.dumps(melody_to_obj(Melody(notes=list(notes))), sort_keys=True) + "\n"
-    )
+    Path(path).write_text(json_text(melody_to_obj(Melody(notes=list(notes))), indent=None))
 
 
 def load_melody(path: Path) -> list[NoteEvent]:
@@ -542,14 +549,14 @@ def load_melody(path: Path) -> list[NoteEvent]:
 def save_amended(path: Path, amended: list[AmendedPair]) -> None:
     payload = [
         {
-            "context": [[n.pitch, n.duration] for n in pair.context],
-            "note": [pair.note.pitch, pair.note.duration],
+            "context": [_note_obj(n) for n in pair.context],
+            "note": _note_obj(pair.note),
             "rules": sorted(rule.value for rule in pair.rule_set),
             "attempts": pair.attempts,
         }
         for pair in amended
     ]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(payload))
 
 
 def load_amended(path: Path) -> list[AmendedPair]:
@@ -643,10 +650,11 @@ def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: b
 
 
 def train(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
-    """Train ``orig`` on the corpus windows into ``weights/orig.wts``."""
+    """Train ``orig`` on the corpus windows into ``weights/orig.wts``; start a fresh manifest."""
     windows = corpus_windows(corpus, cfg)
     params, trace, kept = train_on_examples(windows, cfg)
     entry = _save_mode(run_dir, "orig", params, trace, kept, windows, cfg)
+    (run_dir / MANIFEST).unlink(missing_ok=True)  # later stages' files came from the old orig
     update_manifest(run_dir, {
         "config": config_to_dict(cfg),
         "corpus": {
@@ -694,7 +702,7 @@ def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
         }
         log.info("%s: %d of %d notes amended", stream, len(amended), len(filtered))
     update_manifest(run_dir, {
-        "seed_phrase": [[n.pitch, n.duration] for n in seed_phrase],
+        "seed_phrase": [_note_obj(n) for n in seed_phrase],
         "phase1": phase1,
     })
 
@@ -787,7 +795,6 @@ def run_experiment(
     if seed_phrase is None:
         seed_phrase = default_seed_phrase(corpus, cfg)
     _check_seed_phrase(seed_phrase, cfg)
-    (out_dir / MANIFEST).unlink(missing_ok=True)  # a run starts from a fresh manifest
 
     train(corpus, cfg, out_dir)
     amend(seed_phrase, cfg, out_dir)
@@ -821,8 +828,7 @@ def update_manifest(run_dir: Path, update: dict) -> None:
             manifest[key].update(value)
         else:
             manifest[key] = value
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    network.write_atomic(run_dir / MANIFEST, text.encode())
+    network.write_atomic(run_dir / MANIFEST, json_text(manifest).encode())
 
 
 def _weights_meta(cfg: RunConfig) -> network.WeightsMeta:

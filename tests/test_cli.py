@@ -232,6 +232,8 @@ class TestStagedCommands:
             "dia.json", "spi.json", "tri.json"]
         assert cli.main(["amend", *common]) == cli.EXIT_VALIDATION
         assert "need --seed-phrase or --corpus" in caplog.text
+        assert cli.main(["amend", *common, "--seed-phrase", ""]) == cli.EXIT_VALIDATION
+        assert "bad seed note ''" in caplog.records[-1].getMessage()
 
     def test_conjunction_filter_staged_path(self, tmp_path):
         config_data = json.loads(tiny_config_file(tmp_path).read_text())
@@ -277,6 +279,18 @@ class TestStagedCommands:
         code = cli.main(["amend", *common, "--run-dir", str(subset), "--rules", "dia,fancy"])
         assert code == cli.EXIT_VALIDATION
         assert "valid rules: dia, spi, tri" in caplog.text
+        code = cli.main(["amend", *common, "--run-dir", str(subset), "--rules", ""])
+        assert code == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == "rule set must not be empty"
+
+    def test_second_train_starts_a_fresh_manifest(self, tmp_path):
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(tmp_path / "run")]
+        for command in ("train", "amend", "train"):
+            assert cli.main([command, *common]) == 0
+        manifest = pipeline.read_manifest(tmp_path / "run")
+        assert sorted(manifest) == ["config", "corpus", "modes"]
+        assert list(manifest["modes"]) == ["orig"]
 
     def test_dimension_mismatch_refused_with_both_sizes(self, tmp_path, caplog):
         config = tiny_config_file(tmp_path)
@@ -640,11 +654,17 @@ class TestConfigHandling:
         code = cli.main(["ingest", str(midi_dir), "--out", str(tmp_path / "c.json")])
         assert code == cli.EXIT_VALIDATION
 
-    def test_seed_phrase_parser(self):
+    def test_seed_phrase_parser(self, tmp_path, caplog):
         notes = cli.parse_seed_phrase("60:4, 64:2,67:1")
         assert notes == [NoteEvent(60, 4), NoteEvent(64, 2), NoteEvent(67, 1)]
-        with pytest.raises(ValueError, match="bad seed note"):
-            cli.parse_seed_phrase("60-4")
+        for text in ("60-4", ""):
+            with pytest.raises(ValueError, match=f"bad seed note {text!r}"):
+                cli.parse_seed_phrase(text)
+        code = cli.main(["run-all", "--corpus", str(write_corpus(tmp_path)),
+                         "--run-dir", str(tmp_path / "run"), "--seed-phrase", ""])
+        assert code == cli.EXIT_VALIDATION
+        assert "bad seed note ''" in caplog.records[-1].getMessage()
+        assert not (tmp_path / "run").exists()
 
 
 def readme_cli_lines() -> list[str]:

@@ -387,50 +387,19 @@ class TestKernelOracles:
             assert max_relative_error(got, want) <= 1e-15
 
 
-class TestWorkspace:
-    CASES = [(64, 7, 89, 16), (13, 7, 89, 16), (5, 3, 12, 6)]  # (B, W, E, H)
-
-    def _call(self, B, W, E, H):
+class TestReturnedGradients:
+    def _call(self, B=64, W=7, E=89, H=16):
         rng = make_rng(B, W, E, H)
         params = init_params(E, H, rng)
         X, yp, yd = rng.random((B, W, E)), rng.integers(0, 4, B), rng.integers(0, E - 4, B)
         return batch_gradients(params, X, yp, yd, 4)
 
-    def test_reused_workspace_gives_the_bits_of_a_fresh_one(self):
-        fresh = []
-        for case in self.CASES:
-            nw._workspace.flat = None
-            fresh.append(self._call(*case))
-        nw._workspace.flat = None
-        for case, (want, want_loss) in zip(self.CASES, fresh):
-            if nw._workspace.flat is not None:  # no stale value may be read
-                nw._workspace.flat[:] = np.nan
-            grads, loss = self._call(*case)
-            assert loss == want_loss
-            for name, arr in grads.tensors():
-                assert arr.tobytes() == getattr(want, name).tobytes(), (case, name)
-
     def test_returned_gradients_survive_the_next_call(self):
-        grads, _ = self._call(*self.CASES[0])
+        grads, _ = self._call()
         snapshot = grads.copy()
-        self._call(*self.CASES[0])
+        self._call()
         for name, arr in grads.tensors():
-            assert not np.shares_memory(arr, nw._workspace.flat), name
             assert arr.tobytes() == getattr(snapshot, name).tobytes(), name
-
-    def test_fit_releases_the_workspace(self):
-        rng = make_rng(23)
-        X = rng.integers(0, 12, (20, 3, 1))
-        yp, yd = rng.integers(0, 8, 20), rng.integers(0, 4, 20)
-        self._call(*self.CASES[0])
-        fit(init_params(12, 4, rng), X, yp, yd, 8, epochs=2, batch_size=8, rng=make_rng(4),
-            **TRAINING)
-        assert nw._workspace.flat is None
-        params = init_params(12, 4, rng)
-        params.V[0, 0] = np.nan
-        with pytest.raises(ValueError, match="diverged"):
-            fit(params, X, yp, yd, 8, epochs=2, batch_size=8, rng=make_rng(4), **TRAINING)
-        assert nw._workspace.flat is None
 
 
 class TestBatchGradients:
