@@ -25,7 +25,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import grammar, metrics, midi, pipeline
+from . import grammar, midi, pipeline
 from .notes import Key, Melody, NoteEvent
 
 log = logging.getLogger("melogram")
@@ -99,28 +99,9 @@ def cmd_generate(args, cfg: pipeline.RunConfig) -> None:
 
 
 def cmd_evaluate(args, cfg: pipeline.RunConfig) -> None:
-    reports: dict[str, metrics.MetricsReport] = {}
-    sources: dict[str, str] = {}  # report column -> the file it came from
-    if args.corpus:
-        corpus = pipeline.load_corpus(Path(args.corpus))
-        with pipeline.naming(args.corpus):
-            reports["DS"] = metrics.evaluate_many([m.notes for m in corpus])
-        sources["DS"] = args.corpus
-    for path_text in args.melodies:
-        path = Path(path_text)
-        label = metrics.MODE_COLUMNS.get(path.stem, path.stem)
-        if label in sources:
-            raise ValueError(f"{sources[label]} and {path_text} both map to "
-                             f"report column {label!r}")
-        sources[label] = path_text
-        notes = pipeline.load_melody(path)
-        with pipeline.naming(path_text):
-            reports[label] = metrics.evaluate(notes)
-    if args.out:
-        table = pipeline.write_report(reports, Path(args.out))
-    else:
-        table = metrics.report_table(reports)
-    sys.stdout.write(table)
+    corpus = pipeline.load_corpus(Path(args.corpus)) if args.corpus else None
+    out = Path(args.out) if args.out else None
+    sys.stdout.write(pipeline.evaluate(args.melodies, corpus, out, corpus_name=args.corpus))
 
 
 def cmd_export(args, cfg: pipeline.RunConfig) -> None:

@@ -27,13 +27,13 @@ from .notes import NoteEvent
 DIATONIC_CLASSES = frozenset({0, 2, 4, 5, 7, 9, 11})  # C D E F G A B
 OCTAVE_SEMITONES = 12
 
-TRIAD_QUALITIES = ("major", "minor", "augmented", "diminished")
 _QUALITY_INTERVALS = {
     "major": (0, 4, 7),
     "minor": (0, 3, 7),
     "augmented": (0, 4, 8),
     "diminished": (0, 3, 6),
 }
+TRIAD_QUALITIES = tuple(_QUALITY_INTERVALS)
 
 
 class Rule(enum.Enum):

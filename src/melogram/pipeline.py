@@ -40,9 +40,8 @@ from .encoding import (
 from .grammar import AmendedPair, Rule
 from .notes import Key, Melody, NoteEvent, fold_octaves
 
-MODES = ("orig", "dia", "spi", "tri", "mix")
-RULE_ORDER = (Rule.DIA, Rule.SPI, Rule.TRI)
-ALL_RULE_SET = frozenset(Rule)
+MODES = tuple(metrics.MODE_COLUMNS)
+RULE_ORDER = tuple(Rule)
 MANIFEST = "manifest.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -666,28 +665,30 @@ def train(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     })
 
 
+def amend_streams(cfg: RunConfig) -> list[tuple[str, frozenset[Rule]]]:
+    """Each amend stream's name and rules, in seed order.
+
+    One stream per rule, then with ``mix_conjunction_filter`` a ``mix``
+    stream filtered by all three rules at once.
+    """
+    return ([(rule.value, frozenset({rule})) for rule in RULE_ORDER]
+            + [("mix", frozenset(Rule))] * cfg.mix_conjunction_filter)
+
+
 def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
           rules: frozenset[Rule] | None = None) -> None:
-    """Harvest amended pairs from rule-filtered streams of ``orig``.
+    """Harvest amended pairs from the ``amend_streams`` of ``orig``.
 
-    One stream per rule (only those in ``rules`` when given), each into
-    ``amended/<rule>.json``; with ``mix_conjunction_filter`` and no ``rules``
-    also a ``mix`` stream filtered by all three rules at once. A stream's
-    random seed depends on the stream alone, so a subset reproduces the
-    streams of a full run.
+    Each stream goes into ``amended/<stream>.json``; with ``rules`` only the
+    streams of those single rules run. A stream's random seed depends on the
+    stream alone, so a subset reproduces the streams of a full run.
     """
     params = load_checked_weights(run_dir, "orig", cfg)
-    streams = [
-        (rule.value, frozenset({rule}), index)
-        for index, rule in enumerate(RULE_ORDER)
-        if rules is None or rule in rules
-    ]
-    if cfg.mix_conjunction_filter and rules is None:
-        streams.append(("mix", ALL_RULE_SET, len(RULE_ORDER)))
-
     (run_dir / "amended").mkdir(parents=True, exist_ok=True)
     phase1 = {}
-    for stream, stream_rules, index in streams:
+    for index, (stream, stream_rules) in enumerate(amend_streams(cfg)):
+        if rules is not None and stream not in {rule.value for rule in rules}:
+            continue
         rng = network.make_rng(cfg.seeds.phase1, index)
         filtered, amended = phase1_generate(
             params, seed_phrase, cfg.phase1_notes, stream_rules, cfg, rng
@@ -710,21 +711,21 @@ def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
 def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     """Train ``dia``/``spi``/``tri``/``mix`` on the corpus plus their amended pairs.
 
-    ``mix`` pools the three rule streams, or takes the conjunction stream
-    under ``mix_conjunction_filter``. The four trainings run side by side
-    through ``train_modes``.
+    Each mode takes its ``amend_streams`` stream; without a ``mix`` stream,
+    ``mix`` pools the amended rows of the three rule streams. The four
+    trainings run side by side through ``train_modes``.
     """
     orig_windows = corpus_windows(corpus, cfg)
-    streams = [rule.value for rule in RULE_ORDER] + (["mix"] if cfg.mix_conjunction_filter else [])
-    amended, datasets = {}, {}
-    for stream in streams:  # every dataset is built, and so checked, before any training
+    datasets = {}
+    for stream, _ in amend_streams(cfg):  # every dataset is built, and so checked, first
+        _require_record(run_dir, "phase1", stream)
         path = run_dir / "amended" / f"{stream}.json"
-        amended[stream] = load_amended(path)
+        amended = load_amended(path)
         with naming(path):
-            datasets[stream] = build_augmented_dataset(orig_windows, amended[stream], cfg)
+            datasets[stream] = build_augmented_dataset(orig_windows, amended, cfg)
     if "mix" not in datasets:
-        pooled = [pair for rule in RULE_ORDER for pair in amended[rule.value]]
-        datasets["mix"] = build_augmented_dataset(orig_windows, pooled, cfg)
+        rows = [dataset[len(orig_windows):] for dataset in datasets.values()]
+        datasets["mix"] = np.concatenate([orig_windows, *rows])
 
     trained = train_modes(datasets, cfg)  # no weights file unless every training succeeds
     modes = {mode: _save_mode(run_dir, mode, *trained[mode], dataset, cfg)
@@ -741,6 +742,7 @@ def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg
     """
     if n < 1:
         raise ValueError(f"number of notes to generate must be >= 1, got {n}")
+    _require_record(run_dir, "modes", mode)
     params = load_checked_weights(run_dir, mode, cfg)
     rng = network.make_rng(cfg.seeds.public)
     notes = phase2_generate(params, seed_phrase, n, cfg, rng)
@@ -755,18 +757,35 @@ def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg
     return notes
 
 
-def write_report(reports: dict[str, metrics.MetricsReport], out_dir: Path) -> str:
-    """Write ``report.json`` and ``report.txt``; returns the text table.
+def evaluate(melodies: list[Path | str], corpus: list[Melody] | None = None,
+             out_dir: Path | None = None, corpus_name: str = "corpus") -> str:
+    """The metric report, a ``DS`` column for ``corpus`` and one per melody file; returns its table.
 
-    When ``out_dir`` is a run directory (it holds a manifest), the manifest
-    records both files.
+    A file's column is the ``metrics.MODE_COLUMNS`` entry of its stem, else
+    the stem; two files for one column are refused. Every error names its
+    file, the corpus's as ``corpus_name``. With ``out_dir`` the report goes to
+    ``report.json`` and ``report.txt`` there, which a manifest there records.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    reports, sources = {}, {}  # report column -> its metrics, and the file behind them
+    if corpus is not None:
+        with naming(corpus_name):
+            reports["DS"] = metrics.evaluate_many([m.notes for m in corpus])
+        sources["DS"] = corpus_name
+    for path in map(Path, melodies):
+        label = metrics.MODE_COLUMNS.get(path.stem, path.stem)
+        if label in sources:
+            raise ValueError(f"{sources[label]} and {path} both map to report column {label!r}")
+        sources[label] = path
+        notes = load_melody(path)
+        with naming(path):
+            reports[label] = metrics.evaluate(notes)
     table = metrics.report_table(reports)
-    (out_dir / "report.json").write_text(metrics.report_to_json(reports) + "\n")
-    (out_dir / "report.txt").write_text(table)
-    if (out_dir / MANIFEST).exists():
-        update_manifest(out_dir, {"report": {"json": "report.json", "text": "report.txt"}})
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.json").write_text(metrics.report_to_json(reports) + "\n")
+        (out_dir / "report.txt").write_text(table)
+        if (out_dir / MANIFEST).exists():
+            update_manifest(out_dir, {"report": {"json": "report.json", "text": "report.txt"}})
     return table
 
 
@@ -799,12 +818,10 @@ def run_experiment(
     train(corpus, cfg, out_dir)
     amend(seed_phrase, cfg, out_dir)
     retrain(corpus, cfg, out_dir)
-    reports = {"DS": metrics.evaluate_many([m.notes for m in corpus])}
     for mode in MODES:
         midi_out = out_dir / "melodies" / f"{mode}.mid" if export_midi else None
-        notes = generate(out_dir, mode, seed_phrase, cfg.phase2_notes, cfg, midi_out=midi_out)
-        reports[metrics.MODE_COLUMNS[mode]] = metrics.evaluate(notes)
-    write_report(reports, out_dir)
+        generate(out_dir, mode, seed_phrase, cfg.phase2_notes, cfg, midi_out=midi_out)
+    evaluate([out_dir / "melodies" / f"{mode}.json" for mode in MODES], corpus, out_dir)
     return read_manifest(out_dir)
 
 
@@ -814,6 +831,18 @@ def read_manifest(run_dir: Path) -> dict:
     """The run's manifest, ``{}`` before the first stage writes one."""
     path = run_dir / MANIFEST
     return load_json(path, lambda payload: _object(payload, "")) if path.exists() else {}
+
+
+def _require_record(run_dir: Path, block: str, key: str) -> None:
+    """Refuse a stage input that the run's manifest, when there is one, does not record.
+
+    ``train`` restarts the manifest, so a file it does not record was left
+    by the stages of an earlier ``orig``.
+    """
+    manifest = read_manifest(run_dir)
+    if manifest and key not in manifest.get(block, {}):
+        raise ValueError(f"{run_dir / MANIFEST} records no {block}.{key}; run the stage "
+                         f"that makes it after the last train")
 
 
 def update_manifest(run_dir: Path, update: dict) -> None:

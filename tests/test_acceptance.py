@@ -177,6 +177,7 @@ def directional_models():
     return cfg, corpus, seed_phrase, models
 
 
+@pytest.mark.slow
 class TestDirectionalEffect:
     PUBLIC_SEEDS = (41, 42, 43, 44)
 

@@ -75,6 +75,12 @@ class TestIngest:
         assert len(corpus) == 1
         assert "waltz.mid" in caplog.text and "3/4" in caplog.text
 
+        # With --allow-any-meter the waltz is kept and not logged as rejected.
+        caplog.clear()
+        assert cli.main(["ingest", str(midi_dir), "--out", str(out), "--allow-any-meter"]) == 0
+        assert len(pipeline.load_corpus(out)) == 2
+        assert "rejected waltz.mid" not in caplog.text
+
     def test_key_override_when_meta_absent(self, tmp_path):
         midi_dir = tmp_path / "midi"
         midi_dir.mkdir()
@@ -292,6 +298,30 @@ class TestStagedCommands:
         assert sorted(manifest) == ["config", "corpus", "modes"]
         assert list(manifest["modes"]) == ["orig"]
 
+    def test_retrain_refuses_the_amended_pairs_of_an_earlier_orig(self, tmp_path, caplog):
+        (tmp_path / "other").mkdir()
+        first, other = write_corpus(tmp_path), write_corpus(tmp_path / "other", seed=6)
+        run_dir = tmp_path / "run"
+        common = ["--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
+        for command, corpus in (("train", first), ("amend", first), ("train", other)):
+            assert cli.main([command, "--corpus", str(corpus), *common]) == 0
+        code = cli.main(["retrain", "--corpus", str(other), *common])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{run_dir / 'manifest.json'} records no phase1.dia" in caplog.text
+        assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
+
+    def test_generate_refuses_the_weights_of_an_earlier_orig(self, tmp_path, caplog):
+        run_dir = tmp_path / "run"
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
+        for command in ("run-all", "train"):
+            assert cli.main([command, *common]) == 0
+        code = cli.main(["generate", *common, "--mode", "dia", "-n", "10"])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{run_dir / 'manifest.json'} records no modes.dia" in caplog.text
+        assert "melodies" not in pipeline.read_manifest(run_dir)
+        assert cli.main(["generate", *common, "--mode", "orig", "-n", "10"]) == 0
+
     def test_dimension_mismatch_refused_with_both_sizes(self, tmp_path, caplog):
         config = tiny_config_file(tmp_path)
         corpus = write_corpus(tmp_path)
@@ -343,9 +373,19 @@ class TestRunAll:
 
 class TestStagedMatchesRunAll:
     def test_staged_commands_write_what_run_all_writes(self, tmp_path):
-        config = tiny_config_file(tmp_path)
         corpus = write_corpus(tmp_path)
-        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        config_data = json.loads(tiny_config_file(tmp_path).read_text())
+        # Both settings of the amend stream table: three streams, and a fourth
+        # conjunction stream for mix.
+        for conjunction in (False, True):
+            config_data["generation"]["mix_conjunction_filter"] = conjunction
+            config = tmp_path / f"config-{conjunction}.json"
+            config.write_text(json.dumps(config_data))
+            self._check_setting(tmp_path / f"conjunction-{conjunction}", corpus, config)
+
+    @staticmethod
+    def _check_setting(root: Path, corpus: Path, config: Path) -> None:
+        staged, whole = root / "staged", root / "whole"
         common = ["--corpus", str(corpus), "--config", str(config)]
         for command in ("train", "amend", "retrain"):
             assert cli.main([command, *common, "--run-dir", str(staged)]) == 0
