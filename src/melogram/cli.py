@@ -117,7 +117,7 @@ def cmd_run_all(args, cfg: pipeline.RunConfig) -> None:
     manifest = pipeline.run_experiment(
         corpus, cfg, Path(args.run_dir),
         seed_phrase=None if args.seed_phrase is None else parse_seed_phrase(args.seed_phrase),
-        export_midi=not args.no_midi,
+        export_midi=not args.no_midi, corpus_name=args.corpus,
     )
     sys.stdout.write((Path(args.run_dir) / "report.txt").read_text())
     log.info("run complete: %d modes, manifest at %s/manifest.json",

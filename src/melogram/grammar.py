@@ -131,25 +131,25 @@ def constrained_sample(
     rng: np.random.Generator,
     *,
     cap: int,
-) -> tuple[NoteEvent, int, bool]:
+) -> tuple[NoteEvent, int]:
     """Sample a rule-conforming note from per-segment distributions.
 
     Rejection-samples up to ``cap`` rounds from the unmodified
     distributions. If every round is rejected, falls back to the exact
-    restriction: the pitch distribution is renormalized over the conforming
-    pitches and sampled once, which preserves the conditional distribution
-    instead of distorting it. Durations are unconstrained by all rules and
-    keep their sampled value.
+    restriction: the pitch distribution is sampled once over the conforming
+    pitches alone (uniformly if they carry no mass), which preserves the
+    conditional distribution instead of distorting it. Durations are
+    unconstrained by all rules and keep their sampled value.
 
-    Returns ``(note, attempts, amended)`` where ``amended`` is True whenever
-    the first sample was not the one returned.
+    Returns ``(note, attempts)``; the fallback draw counts as attempt
+    ``cap + 1``, so ``attempts > 1`` whenever the first sample was refused.
     """
     if cap < 1:
         raise ValueError(f"resample cap must be >= 1, got {cap}")
     for attempt in range(1, cap + 1):
         note = sample_note(pitch_dist, dur_dist, vocab, rng)
         if conforms(note, history, rules):
-            return note, attempt, attempt > 1
+            return note, attempt
 
     duration = vocab.durations[sample_index(dur_dist, rng)]
     support = _conforming_pitch_slots(history, rules, vocab, duration)
@@ -161,13 +161,10 @@ def constrained_sample(
     assert support, "conforming pitch support empty even after TRI relaxation"
 
     restricted = np.asarray(pitch_dist, dtype=float)[support]
-    total = restricted.sum()
-    if total > 0.0:
-        restricted = restricted / total
-    else:
-        restricted = np.full(len(support), 1.0 / len(support))
+    if restricted.sum() == 0.0:  # sample_index scales its draw by any other total
+        restricted = np.ones(len(support))
     slot = support[sample_index(restricted, rng)]
-    return NoteEvent(pitch=vocab.pitch_lo + slot, duration=duration), cap + 1, True
+    return NoteEvent(pitch=vocab.pitch_lo + slot, duration=duration), cap + 1
 
 
 def _conforming_pitch_slots(

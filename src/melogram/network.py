@@ -81,14 +81,6 @@ class LstmParams:
         return LstmParams(**{name: arr.copy() for name, arr in self.tensors()})
 
 
-@dataclass
-class LstmState:
-    """Recurrent state: memory cell C and hidden vector h."""
-
-    C: np.ndarray
-    h: np.ndarray
-
-
 def zeros_like_params(params: LstmParams) -> LstmParams:
     return LstmParams(**{name: np.zeros_like(arr) for name, arr in params.tensors()})
 
@@ -127,59 +119,62 @@ def init_params(
     return LstmParams(W=W, U=U, b=b, V=glorot(input_size, hidden_size), c=np.zeros(input_size))
 
 
-def _cell(z: np.ndarray, prev: LstmState, gates: np.ndarray, new: LstmState) -> None:
+def _cell(z: np.ndarray, gates: np.ndarray, *, C_prev: np.ndarray, C: np.ndarray,
+          h: np.ndarray) -> None:
     """The gate equations on the pre-activations ``z = W x + U h_prev + b``.
 
     ``z`` is (4H,) or (k, 4H). ``gates``, (4, H) or (4, k, H), receives i, o,
-    f and the candidate g, and ``new`` the new state.
+    f and the candidate g, and ``C`` and ``h`` the state after ``C_prev``.
     """
     z = z.reshape(z.shape[:-1] + (4, -1)).swapaxes(0, -2)
     sigmoid(z[:3], out=gates[:3])
     np.tanh(z[3], out=gates[3])
     i, o, f, g = gates
-    np.multiply(i, g, out=new.C)
-    new.C += f * prev.C
-    np.multiply(o, np.tanh(new.C, out=new.h), out=new.h)
+    np.multiply(i, g, out=C)
+    C += f * C_prev
+    np.multiply(o, np.tanh(C, out=h), out=h)
 
 
-def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState) -> LstmState:
-    """Advance the recurrent state by one input vector.
+def lstm_step(params: LstmParams, x: np.ndarray, C: np.ndarray, h: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the recurrent state ``(C, h)`` by one input vector; return the new one.
 
-    ``prev`` is one state, ``C`` and ``h`` of shape (H,), or a stack of k
-    states of shape (k, H) that all read the same ``x``; the recurrent
-    product of a stack runs as one matrix product.
+    ``C`` and ``h`` are one state, of shape (H,), or a stack of k states of
+    shape (k, H) that all read the same ``x``; the recurrent product of a
+    stack runs as one matrix product.
     """
-    z = prev.h @ params.U.T
+    z = h @ params.U.T
     z += params.W @ x + params.b
-    new = LstmState(C=np.empty(prev.C.shape), h=np.empty(prev.C.shape))
-    _cell(z, prev, np.empty((4,) + prev.C.shape), new)
-    return new
+    new_C, new_h = np.empty(C.shape), np.empty(C.shape)
+    _cell(z, np.empty((4,) + C.shape), C_prev=C, C=new_C, h=new_h)
+    return new_C, new_h
 
 
 @dataclass
 class Window:
     """A bank of recurrences over the last ``size`` inputs of one stream.
 
-    Row k of ``state`` has read the stream's last k+1 inputs from a zero
-    state, so the last row of a full bank has read exactly the last ``size``
-    inputs, as training reads a window. One more input costs one step of the
-    (size, H) stack: the oldest row leaves, a zero row enters and every row
-    reads the input.
+    Row k of the state ``C``, ``h`` has read the stream's last k+1 inputs
+    from a zero state, so the last row of a full bank has read exactly the
+    last ``size`` inputs, as training reads a window. One more input costs
+    one step of the (size, H) stack: the oldest row leaves, a zero row
+    enters and every row reads the input.
     """
 
     size: int
-    state: LstmState | None = None
+    C: np.ndarray | None = None
+    h: np.ndarray | None = None
 
     def read(self, params: LstmParams, x: np.ndarray) -> None:
         zero = np.zeros((1, params.hidden_size))
-        if self.state is None:
-            prev = LstmState(C=zero, h=zero)
+        if self.h is None:
+            C = h = zero
         else:
             keep = self.size - 1
             # Column-major h: OpenBLAS multiplies a (7, 128) stack by U.T in ~37 us, row-major ~58.
-            prev = LstmState(C=np.concatenate((zero, self.state.C[:keep])),
-                             h=np.asfortranarray(np.concatenate((zero, self.state.h[:keep]))))
-        self.state = lstm_step(params, x, prev)
+            C = np.concatenate((zero, self.C[:keep]))
+            h = np.asfortranarray(np.concatenate((zero, self.h[:keep])))
+        self.C, self.h = lstm_step(params, x, C, h)
 
 
 def forward(params: LstmParams, inputs: np.ndarray, window: Window | None = None) -> np.ndarray:
@@ -201,11 +196,9 @@ def forward(params: LstmParams, inputs: np.ndarray, window: Window | None = None
         window = Window(len(inputs))
     for x in inputs:
         window.read(params, x)
-    if len(window.state.h) < window.size:
-        raise ValueError(
-            f"window bank holds {window.size} inputs, has read {len(window.state.h)}"
-        )
-    return params.V @ window.state.h[-1] + params.c
+    if len(window.h) < window.size:
+        raise ValueError(f"window bank holds {window.size} inputs, has read {len(window.h)}")
+    return params.V @ window.h[-1] + params.c
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -252,7 +245,7 @@ def batch_gradients(
     for t in range(W):
         # gates[t] holds the recurrent product until the cell writes the gates.
         Z[t] += np.matmul(h[t], params.U.T, out=gates[t].reshape(B, 4 * H))
-        _cell(Z[t], LstmState(C[t], h[t]), gates[t], LstmState(C[t + 1], h[t + 1]))
+        _cell(Z[t], gates[t], C_prev=C[t], C=C[t + 1], h=h[t + 1])
 
     raw = h[W] @ params.V.T + params.c
     lsp = _log_softmax(raw[:, :pitch_dim])

@@ -344,10 +344,10 @@ def _generate(params: network.LstmParams, seed_phrase: list[NoteEvent], n: int, 
         if rules is None:
             note = sample_note(pitch_dist, dur_dist, cfg.vocab, rng)
         else:
-            note, attempts, amended = grammar.constrained_sample(
+            note, attempts = grammar.constrained_sample(
                 pitch_dist, dur_dist, notes, rules, cfg.vocab, rng, cap=cfg.resample_cap,
             )
-            if amended:
+            if attempts > 1:  # the first draw was refused
                 amended_pairs.append(AmendedPair(context=tuple(notes[-cfg.window:]), note=note,
                                                  rule_set=rules, attempts=attempts))
         notes.append(note)
@@ -613,17 +613,13 @@ def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: b
     for path in paths:
         try:
             parsed = midi.parse_midi(path.read_bytes())
-        except midi.MidiParseError as exc:
+            melody = midi.extract_melody(parsed.events)
+        except (midi.MidiParseError, midi.EmptyMelodyError) as exc:
             log.warning("rejected %s: %s", path.name, exc)
             continue
         signature = midi.first_time_signature(parsed.events)
         if signature is not None and signature != (4, 4) and not allow_any_meter:
             log.warning("rejected %s: time signature %d/%d is not 4/4", path.name, *signature)
-            continue
-        try:
-            melody = midi.extract_melody(parsed.events)
-        except midi.EmptyMelodyError as exc:
-            log.warning("rejected %s: %s", path.name, exc)
             continue
         piece_key = key or melody.source_key
         if piece_key is None and detect_key:
@@ -713,9 +709,14 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
 
     Each mode takes its ``amend_streams`` stream; without a ``mix`` stream,
     ``mix`` pools the amended rows of the three rule streams. The four
-    trainings run side by side through ``train_modes``.
+    trainings run side by side through ``train_modes``. A corpus other than
+    the one the manifest records for ``orig`` is refused.
     """
     orig_windows = corpus_windows(corpus, cfg)
+    trained_on = read_manifest(run_dir).get("corpus", {}).get("sha256")
+    if trained_on is not None and dataset_fingerprint(orig_windows) != trained_on:
+        raise ValueError(f"{run_dir / MANIFEST} records another corpus.sha256; retrain on "
+                         f"the corpus that train read")
     datasets = {}
     for stream, _ in amend_streams(cfg):  # every dataset is built, and so checked, first
         _require_record(run_dir, "phase1", stream)
@@ -803,14 +804,17 @@ def run_experiment(
     out_dir: Path,
     seed_phrase: list[NoteEvent] | None = None,
     export_midi: bool = True,
+    corpus_name: str = "corpus",
 ) -> dict:
     """Run the whole five-mode experiment into a run directory.
 
     Writes weight files, amended-pair files, generated melodies, the metric
     report and a manifest tying them together, and returns the manifest.
-    Fully determined by the corpus, the config and its seeds.
+    Fully determined by the corpus, the config and its seeds. Errors name
+    the corpus as ``corpus_name``.
     """
     out_dir = Path(out_dir)
+    evaluate([], corpus, corpus_name=corpus_name)  # a corpus the report refuses trains nothing
     if seed_phrase is None:
         seed_phrase = default_seed_phrase(corpus, cfg)
     _check_seed_phrase(seed_phrase, cfg)
@@ -821,7 +825,8 @@ def run_experiment(
     for mode in MODES:
         midi_out = out_dir / "melodies" / f"{mode}.mid" if export_midi else None
         generate(out_dir, mode, seed_phrase, cfg.phase2_notes, cfg, midi_out=midi_out)
-    evaluate([out_dir / "melodies" / f"{mode}.json" for mode in MODES], corpus, out_dir)
+    evaluate([out_dir / "melodies" / f"{mode}.json" for mode in MODES], corpus, out_dir,
+             corpus_name=corpus_name)
     return read_manifest(out_dir)
 
 

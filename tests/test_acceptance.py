@@ -136,7 +136,7 @@ class TestFallbackFidelity:
         draws = 10_000
         counts = dict.fromkeys(support_pitches, 0)
         for _ in range(draws):
-            note, _, _ = grammar.constrained_sample(
+            note, _ = grammar.constrained_sample(
                 pitch_dist, dur_dist, [], frozenset({Rule.DIA}), vocab, rng, cap=5,
             )
             counts[note.pitch] += 1

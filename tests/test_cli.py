@@ -310,6 +310,18 @@ class TestStagedCommands:
         assert f"{run_dir / 'manifest.json'} records no phase1.dia" in caplog.text
         assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
 
+    def test_retrain_refuses_a_corpus_that_train_did_not_read(self, tmp_path, caplog):
+        (tmp_path / "other").mkdir()
+        first, other = write_corpus(tmp_path), write_corpus(tmp_path / "other", pieces=2, seed=6)
+        run_dir = tmp_path / "run"
+        common = ["--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
+        for command in ("train", "amend"):
+            assert cli.main([command, "--corpus", str(first), *common]) == 0
+        code = cli.main(["retrain", "--corpus", str(other), *common])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{run_dir / 'manifest.json'} records another corpus.sha256" in caplog.text
+        assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
+
     def test_generate_refuses_the_weights_of_an_earlier_orig(self, tmp_path, caplog):
         run_dir = tmp_path / "run"
         common = ["--corpus", str(write_corpus(tmp_path)),
@@ -369,6 +381,22 @@ class TestRunAll:
         assert (run_dir / "report.json").exists()
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["DS", "Orig", "DIA", "SPI", "TRI", "MIX"]
+
+
+    def test_corpus_too_short_to_evaluate_trains_nothing(self, tmp_path, caplog):
+        config = tiny_config_file(tmp_path)
+        data = json.loads(config.read_text())
+        data["model"]["window"] = 1
+        config.write_text(json.dumps(data))
+        corpus = tmp_path / "corpus.json"
+        pipeline.save_corpus(corpus, [Melody(notes=[NoteEvent(60, 4), NoteEvent(62, 4)])] * 6)
+        run_dir = tmp_path / "run"
+        code = cli.main(["run-all", "--corpus", str(corpus), "--config", str(config),
+                         "--run-dir", str(run_dir)])
+        assert code == cli.EXIT_VALIDATION
+        assert (f"{corpus}: interval and triad statistics need a melody of at least three notes"
+                in caplog.text)
+        assert not (run_dir / "weights").exists()
 
 
 class TestStagedMatchesRunAll:

@@ -19,7 +19,6 @@ from melogram import cli
 from melogram import network as nw
 from melogram.network import (
     LstmParams,
-    LstmState,
     WeightsFormatError,
     WeightsMeta,
     Window,
@@ -166,45 +165,45 @@ class TestLstmStep:
         # candidate tanh(0) = 0, so C = sigmoid(1) * C_prev.
         params = zero_params(forget_bias=1.0)
         c0 = np.array([1.0, -2.0, 0.5])
-        state = lstm_step(params, np.zeros(4), LstmState(C=c0, h=np.zeros(3)))
+        C, _ = lstm_step(params, np.zeros(4), c0, np.zeros(3))
         expected = (1.0 / (1.0 + math.exp(-1.0))) * c0
-        assert np.allclose(state.C, expected, atol=1e-12)
+        assert np.allclose(C, expected, atol=1e-12)
 
     def test_zero_params_zero_state_fixed_point(self):
         params = zero_params()
-        state = lstm_step(params, np.zeros(4), LstmState(C=np.zeros(3), h=np.zeros(3)))
-        assert np.all(state.C == 0.0)
-        assert np.all(state.h == 0.0)
+        C, h = lstm_step(params, np.zeros(4), np.zeros(3), np.zeros(3))
+        assert np.all(C == 0.0)
+        assert np.all(h == 0.0)
 
     def test_zero_preactivation_gates_are_half(self):
         # With zero weights, f = sigmoid(0) = 0.5 exactly: C = 0.5 * C_prev.
         params = zero_params()
         c0 = np.array([2.0, 2.0, 2.0])
-        state = lstm_step(params, np.ones(4), LstmState(C=c0, h=np.zeros(3)))
-        assert np.allclose(state.C, 0.5 * c0, atol=1e-15)
+        C, _ = lstm_step(params, np.ones(4), c0, np.zeros(3))
+        assert np.allclose(C, 0.5 * c0, atol=1e-15)
 
     def test_hidden_state_bounded_and_gates_open(self):
         rng = make_rng(11)
         params = init_params(6, 5, rng)
-        state = LstmState(C=np.zeros(5), h=np.zeros(5))
+        C, h = np.zeros(5), np.zeros(5)
         for _ in range(50):
             x = rng.normal(size=6) * 3
-            state = lstm_step(params, x, state)
-            assert np.all(np.abs(state.h) <= 1.0)
-            assert np.all(np.isfinite(state.C))
+            C, h = lstm_step(params, x, C, h)
+            assert np.all(np.abs(h) <= 1.0)
+            assert np.all(np.isfinite(C))
 
 
     def test_stack_of_states_steps_each_row(self):
         rng = make_rng(12)
         params = init_params(6, 5, rng)
-        stack = LstmState(C=rng.normal(size=(4, 5)), h=rng.normal(size=(4, 5)))
+        C, h = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         x = rng.normal(size=6)
-        stepped = lstm_step(params, x, stack)
-        assert stepped.C.shape == stepped.h.shape == (4, 5)
+        stepped_C, stepped_h = lstm_step(params, x, C, h)
+        assert stepped_C.shape == stepped_h.shape == (4, 5)
         for k in range(4):
-            row = lstm_step(params, x, LstmState(C=stack.C[k], h=stack.h[k]))
-            assert np.abs(stepped.C[k] - row.C).max() <= 1e-12
-            assert np.abs(stepped.h[k] - row.h).max() <= 1e-12
+            row_C, row_h = lstm_step(params, x, C[k], h[k])
+            assert np.abs(stepped_C[k] - row_C).max() <= 1e-12
+            assert np.abs(stepped_h[k] - row_h).max() <= 1e-12
 
 
 class TestForward:

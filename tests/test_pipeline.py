@@ -444,10 +444,10 @@ def one_shot_generate(params, seed_phrase, n, cfg, rng, rules=None):
             note = NoteEvent(cfg.vocab.pitch_lo + sample_index(pitch_dist, rng),
                              cfg.vocab.durations[sample_index(dur_dist, rng)])
         else:
-            note, attempts, amended = grammar.constrained_sample(
+            note, attempts = grammar.constrained_sample(
                 pitch_dist, dur_dist, notes, rules, cfg.vocab, rng, cap=cfg.resample_cap
             )
-            if amended:
+            if attempts > 1:
                 pairs.append(AmendedPair(context=tuple(context), note=note,
                                          rule_set=rules, attempts=attempts))
         notes.append(note)
