@@ -14,8 +14,8 @@ keep their defaults. Exit codes: 0 success, 2 validation failure (a config
 error included: an unknown key, a wrong JSON type or a value out of range,
 each message starting with the file, e.g. ``c.json: model.window: expected
 int, got 'x'``; a path that is missing, of the wrong kind or not readable),
-3 parse failure (any input file that is not valid JSON or not UTF-8, and a
-manifest that is not a JSON object, each named), 4 unexpected runtime failure.
+3 parse failure (any input file that is not valid JSON or not UTF-8, and a manifest
+or a manifest block that is not a JSON object, each named), 4 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     except pipeline.InputFormatError as exc:
         log.error("%s", exc)
         return EXIT_PARSE
-    except pipeline.CorpusNoteError as exc:
+    except pipeline.CorpusError as exc:
         log.error("%s: %s", args.corpus, exc)
         return EXIT_VALIDATION
     except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,

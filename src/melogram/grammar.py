@@ -118,7 +118,6 @@ class AmendedPair:
 
     context: tuple[NoteEvent, ...]
     note: NoteEvent
-    rule_set: frozenset[Rule]
     attempts: int
 
 

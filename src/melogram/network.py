@@ -443,8 +443,8 @@ def _tensor_header(name: str, shape: tuple[int, ...]) -> bytes:
                        len(name), name.encode("ascii"), len(shape), *shape)
 
 
-def save_weights(path, params: LstmParams, meta: WeightsMeta) -> None:
-    """Write a versioned binary weights container, atomically.
+def save_weights(path, params: LstmParams, meta: WeightsMeta) -> bytes:
+    """Write a versioned binary weights container, atomically; return the bytes written.
 
     Layout: magic, format version (2), the four dimension fields and the
     tensor count as little-endian uint32, then each tensor of
@@ -460,7 +460,9 @@ def save_weights(path, params: LstmParams, meta: WeightsMeta) -> None:
     for name, arr in params.tensors():
         parts += [_tensor_header(name, arr.shape),
                   np.ascontiguousarray(arr, dtype="<f8").tobytes()]
-    write_atomic(path, b"".join(parts))
+    data = b"".join(parts)
+    write_atomic(path, data)
+    return data
 
 
 def load_weights(path) -> tuple[LstmParams, WeightsMeta]:

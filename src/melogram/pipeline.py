@@ -185,8 +185,8 @@ def _check_type(value, default, where: str) -> None:
         raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
-class CorpusNoteError(EncodingError):
-    """A corpus note outside the vocabulary, located as ``pieces[i].notes[j]``."""
+class CorpusError(ValueError):
+    """A corpus that cannot serve a stage; the CLI puts the corpus file in front."""
 
 
 def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> np.ndarray:
@@ -194,16 +194,16 @@ def corpus_windows(corpus: list[Melody], cfg: RunConfig) -> np.ndarray:
 
     Returns the (N, window + 1, 2) int16 slot pairs of ``make_training_windows``.
     A note outside the vocabulary, in any piece however short, raises
-    ``CorpusNoteError`` naming its piece and note index.
+    ``CorpusError`` naming its piece and note index; so does a corpus with no window.
     """
     windows = []
     for piece, melody in enumerate(corpus):
         try:
             windows.append(make_training_windows(melody, cfg.window, cfg.vocab))
         except EncodingError as exc:  # located as ``[j]: ...``
-            raise CorpusNoteError(f"pieces[{piece}].notes{exc}") from None
+            raise CorpusError(f"pieces[{piece}].notes{exc}") from None
     if not sum(map(len, windows)):
-        raise ValueError(
+        raise CorpusError(
             f"corpus yields no training windows: every piece needs more than "
             f"{cfg.window} notes"
         )
@@ -348,8 +348,7 @@ def _generate(params: network.LstmParams, seed_phrase: list[NoteEvent], n: int, 
                 pitch_dist, dur_dist, notes, rules, cfg.vocab, rng, cap=cfg.resample_cap,
             )
             if attempts > 1:  # the first draw was refused
-                amended_pairs.append(AmendedPair(context=tuple(notes[-cfg.window:]), note=note,
-                                                 rule_set=rules, attempts=attempts))
+                amended_pairs.append(AmendedPair(tuple(notes[-cfg.window:]), note, attempts))
         notes.append(note)
         inputs = encode_note(note, cfg.vocab)[None]
     return notes[len(seed_phrase):], amended_pairs
@@ -418,10 +417,6 @@ def dataset_fingerprint(windows: np.ndarray) -> str:
     digest = hashlib.sha256(struct.pack("<Q", len(windows)))
     digest.update(np.ascontiguousarray(windows, dtype="<i2").tobytes())
     return digest.hexdigest()
-
-
-def file_fingerprint(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # --- corpus / melody / amendment file schemas (JSON) -----------------------
@@ -550,7 +545,6 @@ def save_amended(path: Path, amended: list[AmendedPair]) -> None:
         {
             "context": [_note_obj(n) for n in pair.context],
             "note": _note_obj(pair.note),
-            "rules": sorted(rule.value for rule in pair.rule_set),
             "attempts": pair.attempts,
         }
         for pair in amended
@@ -570,18 +564,12 @@ def _amended_from_obj(payload) -> list[AmendedPair]:
     for i, item in enumerate(payload):
         where = f"[{i}]"
         context = _field(item, "context", list, where)
-        rules = _field(item, "rules", list, where)
-        try:
-            rule_set = frozenset(Rule(name) for name in rules)
-        except ValueError as exc:
-            raise InputFormatError(f"{where}.rules: {exc}") from None
         attempts = _field(item, "attempts", int, where)
         if attempts < 2:  # an amended note replaced a refused first draw
             raise InputFormatError(f"{where}.attempts: must be >= 2, got {attempts}")
         pairs.append(AmendedPair(
             context=tuple(_note_from(n, f"{where}.context[{k}]") for k, n in enumerate(context)),
             note=_note_from(_field(item, "note", list, where), f"{where}.note"),
-            rule_set=rule_set,
             attempts=attempts,
         ))
     return pairs
@@ -795,7 +783,7 @@ def default_seed_phrase(corpus: list[Melody], cfg: RunConfig) -> list[NoteEvent]
     for melody in corpus:
         if len(melody.notes) >= cfg.window:
             return list(melody.notes[: cfg.window])
-    raise ValueError(f"no corpus piece has {cfg.window} notes for a seed phrase")
+    raise CorpusError(f"no corpus piece has {cfg.window} notes for a seed phrase")
 
 
 def run_experiment(
@@ -835,7 +823,14 @@ def run_experiment(
 def read_manifest(run_dir: Path) -> dict:
     """The run's manifest, ``{}`` before the first stage writes one."""
     path = run_dir / MANIFEST
-    return load_json(path, lambda payload: _object(payload, "")) if path.exists() else {}
+    return load_json(path, _manifest_from_obj) if path.exists() else {}
+
+
+def _manifest_from_obj(payload) -> dict:
+    """``payload``, refused unless it and each block a stage reads are objects."""
+    for block in ("corpus", "modes", "phase1"):
+        _object(_object(payload, "").get(block, {}), block)
+    return payload
 
 
 def _require_record(run_dir: Path, block: str, key: str) -> None:
@@ -888,13 +883,13 @@ def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list
     """Save one weight set, that of epoch ``kept`` of ``trace``; return its manifest entry."""
     path = run_dir / "weights" / f"{mode}.wts"
     path.parent.mkdir(parents=True, exist_ok=True)
-    network.save_weights(path, params, _weights_meta(cfg))
+    data = network.save_weights(path, params, _weights_meta(cfg))
     log.info("trained %s on %d examples for %d epochs, final loss %.4f, "
              "kept epoch %d (loss %.4f)",
              mode, len(dataset), len(trace), trace[-1], kept, trace[kept - 1])
     return {
         "weights": str(path.relative_to(run_dir)),
-        "weights_sha256": file_fingerprint(path),
+        "weights_sha256": hashlib.sha256(data).hexdigest(),
         "dataset_sha256": dataset_fingerprint(dataset),
         "dataset_size": len(dataset),
         "epochs_run": len(trace),

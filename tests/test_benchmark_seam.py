@@ -200,6 +200,21 @@ def test_amend_generates_every_stream_in_the_calling_process(monkeypatch, tmp_pa
     assert len(calls) == len(pipeline.read_manifest(tmp_path)["phase1"]) == 3 + conjunction
 
 
+def test_amended_pairs_expose_what_the_sampling_check_reads(tmp_path):
+    # perfbench/checks.py's check_sampling reads each pair's context, note
+    # and attempts from what pipeline.load_amended returns.
+    cfg = tiny_config(phase1_notes=40)
+    corpus = tiny_corpus(cfg)
+    pipeline.train(corpus, cfg, tmp_path)
+    pipeline.amend(pipeline.default_seed_phrase(corpus, cfg), cfg, tmp_path)
+    pairs = pipeline.load_amended(tmp_path / "amended" / "dia.json")
+    assert pairs
+    for pair in pairs:
+        assert len(pair.context) == cfg.window
+        assert all(isinstance(note, NoteEvent) for note in (*pair.context, pair.note))
+        assert type(pair.attempts) is int and pair.attempts > 1
+
+
 def test_retrain_calls_train_on_examples_once_per_mode_in_the_calling_process(
         monkeypatch, tmp_path):
     # The launcher names the retrain stage times pipeline.stage.retrain_*_s

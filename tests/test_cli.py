@@ -598,6 +598,27 @@ class TestConfigHandling:
         assert code == cli.EXIT_PARSE
         assert caplog.records[-1].getMessage().startswith(f"{manifest}: ")
 
+    @pytest.mark.parametrize("block, value, command", [
+        ("corpus", "x", "retrain"),
+        ("phase1", 5, "retrain"),
+        ("phase1", ["dia", "spi", "tri"], "retrain"),
+        ("modes", 5, "generate"),
+    ], ids=["corpus-str", "phase1-int", "phase1-list", "modes-int"])
+    def test_malformed_manifest_block_is_named_parse_error(self, tmp_path, caplog, block,
+                                                           value, command):
+        run_dir = tmp_path / "run"
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
+        for stage in ("train", "amend"):
+            assert cli.main([stage, *common]) == 0
+        manifest = run_dir / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), block: value}))
+        extra = ["--mode", "orig", "-n", "5"] if command == "generate" else []
+        assert cli.main([command, *common, *extra]) == cli.EXIT_PARSE
+        assert caplog.records[-1].getMessage() == (
+            f"{manifest}: {block}: expected an object, got {type(value).__name__}")
+        assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
+
     @pytest.mark.parametrize("text, field", [
         ('{"piece": []}', "missing field 'pieces'"),
         ('{"pieces": [{"notes": 5}]}', "pieces[0].notes"),
@@ -659,6 +680,22 @@ class TestConfigHandling:
         assert code == cli.EXIT_VALIDATION
         assert "training diverged: epoch 1" in caplog.text
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command, message", [
+        ("train", "corpus yields no training windows: every piece needs more than 7 notes"),
+        ("amend", "no corpus piece has 7 notes for a seed phrase"),
+        ("run-all", "no corpus piece has 7 notes for a seed phrase"),
+    ], ids=["train", "amend", "run-all"])
+    def test_corpus_too_short_for_a_stage_is_named(self, tmp_path, caplog, command, message):
+        corpus = tmp_path / "corpus.json"
+        pipeline.save_corpus(corpus, [Melody(notes=[NoteEvent(60 + i, 4) for i in range(n)])
+                                      for n in (3, 4)])
+        code = cli.main([command, "--corpus", str(corpus),
+                         "--config", str(tiny_config_file(tmp_path)),
+                         "--run-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == f"{corpus}: {message}"
+        assert not (tmp_path / "run" / "weights").exists()
 
     @pytest.mark.parametrize("command, short_piece", [
         pytest.param(command, short_piece, id=command + ("-short-piece" if short_piece else ""))

@@ -281,7 +281,6 @@ class TestAmendedPair:
         pair = AmendedPair(
             context=tuple(NoteEvent(60 + i, 4) for i in range(7)),
             note=NoteEvent(64, 4),
-            rule_set=frozenset({Rule.DIA}),
             attempts=3,
         )
-        assert conforms(pair.note, list(pair.context), pair.rule_set)
+        assert conforms(pair.note, list(pair.context), frozenset({Rule.DIA}))

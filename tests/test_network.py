@@ -683,6 +683,13 @@ class TestWeightsFile:
         assert loaded_meta == meta
         assert max_relative_error(loaded, params) == 0.0
 
+    def test_save_returns_the_bytes_written(self, tmp_path):
+        # The manifest hashes these bytes instead of reading the file back.
+        path = tmp_path / "model.wts"
+        data = save_weights(path, init_params(5, 2, make_rng(12)),
+                            WeightsMeta(pitch_count=3, duration_count=2, hidden_size=2, window=7))
+        assert data == path.read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.wts"
         path.write_bytes(b"NOTAMODL" + bytes(64))

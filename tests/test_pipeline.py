@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -318,7 +319,6 @@ class TestBuildAugmentedDataset:
             AmendedPair(
                 context=tuple(random_melody(rng, cfg.vocab, cfg.window).notes),
                 note=NoteEvent(64, 4),
-                rule_set=frozenset({Rule.DIA}),
                 attempts=2,
             )
             for _ in range(5)
@@ -345,7 +345,6 @@ class TestBuildAugmentedDataset:
             AmendedPair(
                 context=tuple(NoteEvent(60 + i, 4) for i in range(cfg.window)),
                 note=NoteEvent(64, 4),
-                rule_set=frozenset({Rule.DIA}),
                 attempts=2,
             )
         ] * 41
@@ -357,7 +356,6 @@ class TestBuildAugmentedDataset:
         pair = AmendedPair(
             context=tuple(NoteEvent(60, 4) for _ in range(cfg.window)),
             note=NoteEvent(67, 2),
-            rule_set=frozenset({Rule.DIA}),
             attempts=2,
         )
         (window,) = pipeline.build_augmented_dataset(no_windows(cfg), [pair], cfg)
@@ -370,7 +368,6 @@ class TestBuildAugmentedDataset:
             return AmendedPair(
                 context=tuple(NoteEvent(60, 4) for _ in range(cfg.window)),
                 note=NoteEvent(pitch, 4),
-                rule_set=frozenset({Rule.DIA}),
                 attempts=2,
             )
 
@@ -448,8 +445,7 @@ def one_shot_generate(params, seed_phrase, n, cfg, rng, rules=None):
                 pitch_dist, dur_dist, notes, rules, cfg.vocab, rng, cap=cfg.resample_cap
             )
             if attempts > 1:
-                pairs.append(AmendedPair(context=tuple(context), note=note,
-                                         rule_set=rules, attempts=attempts))
+                pairs.append(AmendedPair(context=tuple(context), note=note, attempts=attempts))
         notes.append(note)
     return notes[cfg.window :], pairs
 
@@ -519,7 +515,8 @@ class TestRunExperiment:
         for mode in pipeline.MODES:
             entry = manifest["modes"][mode]
             assert len(entry["dataset_sha256"]) == 64
-            assert len(entry["weights_sha256"]) == 64
+            weights = (out_dir / "weights" / f"{mode}.wts").read_bytes()
+            assert entry["weights_sha256"] == hashlib.sha256(weights).hexdigest()
         on_disk = json.loads((out_dir / "manifest.json").read_text())
         assert on_disk["modes"] == manifest["modes"]
 
@@ -535,6 +532,19 @@ class TestRunExperiment:
             assert len(pairs) == manifest["phase1"][rule.value]["amended"]
             for pair in pairs:
                 assert len(pair.context) == cfg.window
+
+    def test_amended_pairs_hold_no_rules(self, run, tmp_path):
+        # A stream's rules are recorded once, in the manifest's
+        # phase1.<stream>.rules. A file whose pairs still carry a "rules"
+        # key, as files written before did, loads to the same pairs.
+        _, _, out_dir, _ = run
+        path = out_dir / "amended" / "dia.json"
+        payload = json.loads(path.read_text())
+        assert payload
+        assert all(sorted(item) == ["attempts", "context", "note"] for item in payload)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps([{**item, "rules": ["dia"]} for item in payload]))
+        assert pipeline.load_amended(old) == pipeline.load_amended(path)
 
     def test_melodies_export_and_reload(self, run):
         cfg, _, out_dir, _ = run
@@ -581,9 +591,6 @@ class TestInputSchemas:
         (pipeline.load_amended,
          '[{"context": [[60, 4]], "note": [61], "rules": ["dia"], "attempts": 2}]',
          "[0].note: expected a [pitch, duration] pair"),
-        (pipeline.load_amended,
-         '[{"context": [[60, 4]], "note": [61, 4], "rules": ["foo"], "attempts": 2}]',
-         "[0].rules"),
         (pipeline.load_amended, '[{"context": [[60, 4]], "note": [61, 4], "rules": []}]',
          "[0]: missing field 'attempts'"),
         (pipeline.load_corpus,
@@ -597,7 +604,7 @@ class TestInputSchemas:
          "[0].attempts: must be >= 2, got -3"),
     ], ids=["corpus-no-pieces", "corpus-notes-int", "corpus-short-note", "corpus-piece-list",
             "melody-pitch", "melody-key", "melody-json", "amended-object", "amended-note",
-            "amended-rule", "amended-attempts", "corpus-key-bool", "amended-attempts-bool",
+            "amended-attempts", "corpus-key-bool", "amended-attempts-bool",
             "amended-attempts-negative"])
     def test_schema_error_names_file_and_field(self, tmp_path, loader, text, where):
         path = tmp_path / "input.json"
