@@ -579,8 +579,8 @@ def _amended_from_obj(payload) -> list[AmendedPair]:
 #
 # One function per stage of the experiment; ``run_experiment`` and the CLI
 # commands both call these. Each stage after ingest reads what earlier stages
-# left in the run directory, writes its own files there and records them in
-# ``manifest.json``.
+# left in the run directory and writes its own files there; ``train``,
+# ``amend`` and ``retrain`` also record theirs in ``manifest.json``.
 
 def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: bool = False,
            allow_any_meter: bool = False) -> list[Melody]:
@@ -640,11 +640,7 @@ def train(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     (run_dir / MANIFEST).unlink(missing_ok=True)  # later stages' files came from the old orig
     update_manifest(run_dir, {
         "config": config_to_dict(cfg),
-        "corpus": {
-            "pieces": len(corpus),
-            "windows": entry["dataset_size"],
-            "sha256": entry["dataset_sha256"],
-        },
+        "corpus": {"pieces": len(corpus)},
         "modes": {"orig": entry},
     })
 
@@ -701,10 +697,10 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     the one the manifest records for ``orig`` is refused.
     """
     orig_windows = corpus_windows(corpus, cfg)
-    trained_on = read_manifest(run_dir).get("corpus", {}).get("sha256")
+    trained_on = read_manifest(run_dir).get("modes", {}).get("orig", {}).get("dataset_sha256")
     if trained_on is not None and dataset_fingerprint(orig_windows) != trained_on:
-        raise ValueError(f"{run_dir / MANIFEST} records another corpus.sha256; retrain on "
-                         f"the corpus that train read")
+        raise ValueError(f"{run_dir / MANIFEST} records another modes.orig.dataset_sha256; "
+                         f"retrain on the corpus that train read")
     datasets = {}
     for stream, _ in amend_streams(cfg):  # every dataset is built, and so checked, first
         _require_record(run_dir, "phase1", stream)
@@ -726,8 +722,8 @@ def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg
              out: Path | None = None, midi_out: Path | None = None) -> list[NoteEvent]:
     """Sample ``n`` notes freely from one weight set under the public seed.
 
-    The melody goes to ``out``, by default ``melodies/<mode>.json``, which
-    the manifest then records; ``midi_out`` also exports it as MIDI.
+    The melody goes to ``out``, by default ``melodies/<mode>.json``;
+    ``midi_out`` also exports it as MIDI.
     """
     if n < 1:
         raise ValueError(f"number of notes to generate must be >= 1, got {n}")
@@ -741,8 +737,6 @@ def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg
     log.info("wrote %d notes to %s", len(notes), path)
     if midi_out is not None:
         midi_out.write_bytes(midi.write_midi(Melody(notes=notes)))
-    if out is None:
-        update_manifest(run_dir, {"melodies": {mode: str(path.relative_to(run_dir))}})
     return notes
 
 
@@ -753,7 +747,7 @@ def evaluate(melodies: list[Path | str], corpus: list[Melody] | None = None,
     A file's column is the ``metrics.MODE_COLUMNS`` entry of its stem, else
     the stem; two files for one column are refused. Every error names its
     file, the corpus's as ``corpus_name``. With ``out_dir`` the report goes to
-    ``report.json`` and ``report.txt`` there, which a manifest there records.
+    ``report.json`` and ``report.txt`` there.
     """
     reports, sources = {}, {}  # report column -> its metrics, and the file behind them
     if corpus is not None:
@@ -773,8 +767,6 @@ def evaluate(melodies: list[Path | str], corpus: list[Melody] | None = None,
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(metrics.report_to_json(reports) + "\n")
         (out_dir / "report.txt").write_text(table)
-        if (out_dir / MANIFEST).exists():
-            update_manifest(out_dir, {"report": {"json": "report.json", "text": "report.txt"}})
     return table
 
 
@@ -827,9 +819,12 @@ def read_manifest(run_dir: Path) -> dict:
 
 
 def _manifest_from_obj(payload) -> dict:
-    """``payload``, refused unless it and each block a stage reads are objects."""
-    for block in ("corpus", "modes", "phase1"):
+    """``payload``, refused unless it and each block and entry a stage reads are objects."""
+    for block in ("config", "corpus", "modes", "phase1"):
         _object(_object(payload, "").get(block, {}), block)
+    for block in ("modes", "phase1"):  # stages read inside each entry
+        for key, entry in payload.get(block, {}).items():
+            _object(entry, f"{block}.{key}")
     return payload
 
 
@@ -870,11 +865,16 @@ def load_checked_weights(run_dir: Path, mode: str, cfg: RunConfig) -> network.Ls
     """``weights/<mode>.wts``, refused unless its dimensions match the config.
 
     Every ``WeightsFormatError``, a malformed file or a mismatch, names the file.
+    The file holds slot counts only, so the manifest's vocabulary is checked too.
     """
     path = run_dir / "weights" / f"{mode}.wts"
     with naming(path):
         params, meta = network.load_weights(path)
         network.check_compatible(meta, **vars(_weights_meta(cfg)))
+    trained_on = read_manifest(run_dir).get("config", {}).get("vocabulary")
+    if trained_on is not None and trained_on != config_to_dict(cfg)["vocabulary"]:
+        raise ValueError(f"{run_dir / MANIFEST} records another vocabulary; use the config "
+                         f"that train read")
     return params
 
 

@@ -230,3 +230,21 @@ def test_retrain_calls_train_on_examples_once_per_mode_in_the_calling_process(
     calls = _counting(monkeypatch, pipeline, "train_on_examples")
     pipeline.retrain(corpus, cfg, tmp_path)
     assert calls == [threading.main_thread()] * (len(pipeline.MODES) - 1)
+
+
+def test_manifest_holds_the_fields_the_benchmark_reads(tmp_path):
+    # perfbench/checks.py and perfbench/run.py read these manifest fields
+    # after train, amend and retrain; a "record each fact once" change that
+    # drops one must change the benchmark with it.
+    cfg = tiny_config(phase1_notes=10)
+    corpus = tiny_corpus(cfg)
+    pipeline.train(corpus, cfg, tmp_path)
+    pipeline.amend(pipeline.default_seed_phrase(corpus, cfg), cfg, tmp_path)
+    pipeline.retrain(corpus, cfg, tmp_path)
+    manifest = pipeline.read_manifest(tmp_path)
+    assert sorted(manifest["modes"]) == sorted(pipeline.MODES)
+    for entry in manifest["modes"].values():
+        assert {"weights", "dataset_size", "epochs_run", "final_loss"} <= set(entry)
+    assert sorted(manifest["phase1"]) == ["dia", "spi", "tri"]
+    for entry in manifest["phase1"].values():
+        assert {"path", "generated", "amended"} <= set(entry)

@@ -319,7 +319,8 @@ class TestStagedCommands:
             assert cli.main([command, "--corpus", str(first), *common]) == 0
         code = cli.main(["retrain", "--corpus", str(other), *common])
         assert code == cli.EXIT_VALIDATION
-        assert f"{run_dir / 'manifest.json'} records another corpus.sha256" in caplog.text
+        assert (f"{run_dir / 'manifest.json'} records another modes.orig.dataset_sha256"
+                in caplog.text)
         assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
 
     def test_generate_refuses_the_weights_of_an_earlier_orig(self, tmp_path, caplog):
@@ -333,6 +334,26 @@ class TestStagedCommands:
         assert f"{run_dir / 'manifest.json'} records no modes.dia" in caplog.text
         assert "melodies" not in pipeline.read_manifest(run_dir)
         assert cli.main(["generate", *common, "--mode", "orig", "-n", "10"]) == 0
+
+    @pytest.mark.parametrize("command", ["generate", "amend"])
+    def test_vocabulary_other_than_the_recorded_one_is_refused(self, tmp_path, caplog, command):
+        # Pitches 67..91 have as many slots as 55..79, so the weights file
+        # alone cannot tell them apart; the stage would write every pitch an
+        # octave above what the model predicted.
+        config, run_dir = tiny_config_file(tmp_path), tmp_path / "run"
+        assert cli.main(["train", "--corpus", str(write_corpus(tmp_path)),
+                         "--config", str(config), "--run-dir", str(run_dir)]) == 0
+        shifted = json.loads(config.read_text())
+        shifted["vocabulary"].update(pitch_lo=67, pitch_hi=91)
+        config.write_text(json.dumps(shifted))
+        extra = ["--mode", "orig", "-n", "20"] if command == "generate" else []
+        code = cli.main([command, "--config", str(config), "--run-dir", str(run_dir),
+                         "--seed-phrase", "67:4,69:4,71:4,72:4,74:4,76:4,77:4", *extra])
+        assert code == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == (
+            f"{run_dir / 'manifest.json'} records another vocabulary; "
+            f"use the config that train read")
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "weights"]
 
     def test_dimension_mismatch_refused_with_both_sizes(self, tmp_path, caplog):
         config = tiny_config_file(tmp_path)
@@ -381,6 +402,22 @@ class TestRunAll:
         assert (run_dir / "report.json").exists()
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["DS", "Orig", "DIA", "SPI", "TRI", "MIX"]
+
+    def test_only_the_weight_and_amend_stages_write_the_manifest(self, tmp_path):
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path))]
+        run_dir = tmp_path / "run"
+        assert cli.main(["run-all", *common, "--run-dir", str(run_dir), "--no-midi"]) == 0
+        manifest = run_dir / "manifest.json"
+        written = manifest.read_bytes()
+        assert sorted(json.loads(written)) == ["config", "corpus", "modes", "phase1",
+                                               "seed_phrase"]
+        assert json.loads(written)["corpus"] == {"pieces": 3}
+        assert cli.main(["generate", *common, "--run-dir", str(run_dir),
+                         "--mode", "mix", "-n", "10"]) == 0
+        melodies = [str(run_dir / "melodies" / f"{mode}.json") for mode in pipeline.MODES]
+        assert cli.main(["evaluate", *melodies, "--out", str(run_dir)]) == 0
+        assert manifest.read_bytes() == written
 
 
     def test_corpus_too_short_to_evaluate_trains_nothing(self, tmp_path, caplog):
@@ -603,7 +640,8 @@ class TestConfigHandling:
         ("phase1", 5, "retrain"),
         ("phase1", ["dia", "spi", "tri"], "retrain"),
         ("modes", 5, "generate"),
-    ], ids=["corpus-str", "phase1-int", "phase1-list", "modes-int"])
+        ("config", [1], "generate"),
+    ], ids=["corpus-str", "phase1-int", "phase1-list", "modes-int", "config-list"])
     def test_malformed_manifest_block_is_named_parse_error(self, tmp_path, caplog, block,
                                                            value, command):
         run_dir = tmp_path / "run"
@@ -617,6 +655,23 @@ class TestConfigHandling:
         assert cli.main([command, *common, *extra]) == cli.EXIT_PARSE
         assert caplog.records[-1].getMessage() == (
             f"{manifest}: {block}: expected an object, got {type(value).__name__}")
+        assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
+
+    @pytest.mark.parametrize("block, key", [("modes", "orig"), ("phase1", "dia")],
+                             ids=["modes-orig-int", "phase1-dia-int"])
+    def test_malformed_manifest_entry_is_named_parse_error(self, tmp_path, caplog, block, key):
+        run_dir = tmp_path / "run"
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
+        for stage in ("train", "amend"):
+            assert cli.main([stage, *common]) == 0
+        manifest = run_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data[block][key] = 5
+        manifest.write_text(json.dumps(data))
+        assert cli.main(["retrain", *common]) == cli.EXIT_PARSE
+        assert caplog.records[-1].getMessage() == (
+            f"{manifest}: {block}.{key}: expected an object, got int")
         assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
 
     @pytest.mark.parametrize("text, field", [
