@@ -10,6 +10,7 @@ mini-batch at a time.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,24 +125,35 @@ def split_distribution(
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
+    e = np.exp(x - x.max())
     return e / e.sum()
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector via the inverse CDF.
+def cumulative_table(probs: np.ndarray) -> list[float]:
+    """The running sums of a probability vector, the table ``draw_index`` reads.
 
-    The draw is scaled by the actual total mass so tiny normalization
-    residue cannot push the cut point past the last slot. A total mass that
-    is not finite and positive (a diverged model gives NaN) raises
-    ``ValueError`` instead of yielding a slot.
+    A total mass that is not finite and positive (a diverged model gives
+    NaN) raises ``ValueError`` instead of yielding a table.
     """
-    cum = np.cumsum(probs)
+    cum = np.add.accumulate(probs)  # np.cumsum's values, without its Python wrapper
     total = cum[-1]
     if not 0.0 < total < np.inf:  # also false for NaN
         raise ValueError(f"cannot sample from a distribution with total mass {total}")
-    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    return min(idx, len(probs) - 1)
+    return cum.tolist()
+
+
+def draw_index(table: list[float], rng: np.random.Generator) -> int:
+    """Draw an index from a ``cumulative_table`` via the inverse CDF.
+
+    The draw is scaled by the table's total mass so tiny normalization
+    residue cannot push the cut point past the last slot.
+    """
+    return min(bisect_right(table, rng.random() * table[-1]), len(table) - 1)
+
+
+def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an index from a probability vector: one ``draw_index`` from its table."""
+    return draw_index(cumulative_table(probs), rng)
 
 
 def sample_note(pitch_dist: np.ndarray, dur_dist: np.ndarray, vocab: NoteVocabulary,

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .encoding import NoteVocabulary, sample_index, sample_note
+from .encoding import NoteVocabulary, cumulative_table, draw_index, sample_index
 from .notes import NoteEvent
 
 DIATONIC_CLASSES = frozenset({0, 2, 4, 5, 7, 9, 11})  # C D E F G A B
@@ -134,23 +134,27 @@ def constrained_sample(
     """Sample a rule-conforming note from per-segment distributions.
 
     Rejection-samples up to ``cap`` rounds from the unmodified
-    distributions. If every round is rejected, falls back to the exact
-    restriction: the pitch distribution is sampled once over the conforming
-    pitches alone (uniformly if they carry no mass), which preserves the
-    conditional distribution instead of distorting it. Durations are
-    unconstrained by all rules and keep their sampled value.
+    distributions, each round a pitch then a duration, as ``sample_note``
+    draws them, from one cumulative table per distribution. If every round
+    is rejected, falls back to the exact restriction: a duration is drawn,
+    then the pitch distribution is sampled once over the conforming pitches
+    alone (uniformly if they carry no mass), which preserves the conditional
+    distribution instead of distorting it. Durations are unconstrained by
+    all rules and keep their sampled value.
 
     Returns ``(note, attempts)``; the fallback draw counts as attempt
     ``cap + 1``, so ``attempts > 1`` whenever the first sample was refused.
     """
     if cap < 1:
         raise ValueError(f"resample cap must be >= 1, got {cap}")
+    pitches, durations = cumulative_table(pitch_dist), cumulative_table(dur_dist)
     for attempt in range(1, cap + 1):
-        note = sample_note(pitch_dist, dur_dist, vocab, rng)
+        pitch = vocab.pitch_lo + draw_index(pitches, rng)
+        note = NoteEvent(pitch, vocab.durations[draw_index(durations, rng)])
         if conforms(note, history, rules):
             return note, attempt
 
-    duration = vocab.durations[sample_index(dur_dist, rng)]
+    duration = vocab.durations[draw_index(durations, rng)]
     support = _conforming_pitch_slots(history, rules, vocab, duration)
     if not support and Rule.TRI in rules:
         # No pitch satisfies TRI against both history notes (e.g. they sit a

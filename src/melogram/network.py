@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -158,23 +158,28 @@ class Window:
     from a zero state, so the last row of a full bank has read exactly the
     last ``size`` inputs, as training reads a window. One more input costs
     one step of the (size, H) stack: the oldest row leaves, a zero row
-    enters and every row reads the input.
+    enters and every row reads the input. The step reads its input state
+    from two (size, H) buffers of the bank's own: a zero first row, then
+    the kept rows, copied in on each read.
     """
 
     size: int
     C: np.ndarray | None = None
     h: np.ndarray | None = None
+    _C_in: np.ndarray = field(init=False, repr=False)
+    _h_in: np.ndarray = field(init=False, repr=False)
 
     def read(self, params: LstmParams, x: np.ndarray) -> None:
-        zero = np.zeros((1, params.hidden_size))
         if self.h is None:
-            C = h = zero
-        else:
-            keep = self.size - 1
             # Column-major h: OpenBLAS multiplies a (7, 128) stack by U.T in ~37 us, row-major ~58.
-            C = np.concatenate((zero, self.C[:keep]))
-            h = np.asfortranarray(np.concatenate((zero, self.h[:keep])))
-        self.C, self.h = lstm_step(params, x, C, h)
+            shape = (self.size, params.hidden_size)
+            self._C_in, self._h_in = np.zeros(shape), np.zeros(shape, order="F")
+            rows = 1
+        else:
+            rows = min(len(self.h) + 1, self.size)
+            self._C_in[1:rows] = self.C[: rows - 1]
+            self._h_in[1:rows] = self.h[: rows - 1]
+        self.C, self.h = lstm_step(params, x, self._C_in[:rows], self._h_in[:rows])
 
 
 def forward(params: LstmParams, inputs: np.ndarray, window: Window | None = None) -> np.ndarray:
@@ -307,31 +312,46 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators, step count and learning rate."""
+    """Adam moment accumulators, per-tensor scratch, learning rate and step count.
+
+    ``scratch`` holds, per tensor name, a (2, ...) array: the step's two
+    temporaries, so an update makes no array.
+    """
 
     m: LstmParams
     v: LstmParams
+    scratch: dict[str, np.ndarray]
     lr: float
     t: int = 0
 
 
 def init_adam(params: LstmParams, *, lr: float) -> AdamState:
-    return AdamState(m=zeros_like_params(params), v=zeros_like_params(params), lr=lr)
+    scratch = {name: np.empty((2,) + arr.shape) for name, arr in params.tensors()}
+    return AdamState(m=zeros_like_params(params), v=zeros_like_params(params), scratch=scratch,
+                     lr=lr)
 
 
 def adam_update(params: LstmParams, grads: LstmParams, state: AdamState) -> None:
-    """One bias-corrected Adam step, applied to the parameters in place."""
+    """One bias-corrected Adam step, applied to the parameters in place.
+
+    It is the plain formula ``theta -= lr * (m * m_hat) / (sqrt(v * v_hat) + eps)``
+    after the moment updates, each product in that order, written into the
+    tensor's scratch.
+    """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_hat_scale = 1.0 / (1.0 - b1 ** state.t)
     v_hat_scale = 1.0 / (1.0 - b2 ** state.t)
     for name, theta in params.tensors():
         g, m, v = getattr(grads, name), getattr(state.m, name), getattr(state.v, name)
+        step, denom = state.scratch[name]
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=step)
         v *= b2
-        v += (1.0 - b2) * g * g
-        theta -= state.lr * (m * m_hat_scale) / (np.sqrt(v * v_hat_scale) + ADAM_EPS)
+        v += np.multiply(np.multiply(1.0 - b2, g, out=step), g, out=step)
+        np.multiply(state.lr, np.multiply(m, m_hat_scale, out=step), out=step)
+        np.add(np.sqrt(np.multiply(v, v_hat_scale, out=denom), out=denom), ADAM_EPS, out=denom)
+        theta -= np.divide(step, denom, out=step)
 
 
 def fit(

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from melogram.encoding import (
     EncodingError,
     NoteVocabulary,
+    cumulative_table,
     default_vocabulary,
+    draw_index,
     encode_note,
     make_training_windows,
     note_indices,
@@ -158,6 +160,19 @@ class TestSampleIndex:
         freq = np.bincount(draws, minlength=3) / len(draws)
         assert np.abs(freq - probs).max() < 0.02
 
+    def test_table_draw_is_the_searchsorted_inverse_cdf(self):
+        # numpy's searchsorted on the running sums, zero-mass slots (ties) included.
+        rng = np.random.default_rng(7)
+        for case in range(300):
+            probs = rng.dirichlet(np.ones(12)) * (rng.random(12) < 0.6)
+            if not probs.sum():
+                continue
+            table = cumulative_table(probs)
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(20):
+                cum = np.cumsum(probs)
+                want = int(np.searchsorted(cum, theirs.random() * cum[-1], side="right"))
+                assert draw_index(table, ours) == min(want, len(probs) - 1)
 
     @pytest.mark.parametrize("probs", [
         np.full(5, np.nan), np.zeros(5), np.array([0.5, np.inf, 0.5]),

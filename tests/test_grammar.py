@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melogram.encoding import default_vocabulary
+from melogram.encoding import default_vocabulary, sample_index
 from melogram.grammar import (
     AmendedPair,
     DIATONIC_CLASSES,
@@ -161,7 +161,66 @@ def _uniform(size: int) -> np.ndarray:
     return np.full(size, 1.0 / size)
 
 
+def reference_constrained_sample(pitch_dist, dur_dist, history, rules, vocab, rng, cap):
+    """The documented rejection loop, one ``sample_index`` per draw.
+
+    Each attempt draws a pitch, then a duration. After ``cap`` refusals a
+    duration is drawn, then a pitch from the conforming pitches' mass alone
+    (uniform when that mass is zero); under TRI with no conforming pitch,
+    the history shrinks to its last note.
+    """
+    for attempt in range(1, cap + 1):
+        pitch = vocab.pitch_lo + sample_index(pitch_dist, rng)
+        note = NoteEvent(pitch, vocab.durations[sample_index(dur_dist, rng)])
+        if conforms(note, history, rules):
+            return note, attempt
+    duration = vocab.durations[sample_index(dur_dist, rng)]
+
+    def support(window):
+        return [slot for slot in range(vocab.pitch_count)
+                if conforms(NoteEvent(vocab.pitch_lo + slot, duration), window, rules)]
+
+    slots = support(history)
+    if not slots and Rule.TRI in rules:
+        slots = support(history[-1:])
+    mass = pitch_dist[slots]
+    if mass.sum() == 0.0:
+        mass = np.ones(len(slots))
+    return NoteEvent(vocab.pitch_lo + slots[sample_index(mass, rng)], duration), cap + 1
+
+
 class TestConstrainedSample:
+    def test_matches_reference_loop_draw_for_draw(self):
+        # The same (note, attempts) and the same generator state afterwards,
+        # over random distributions, histories, rule sets and caps.
+        rng = np.random.default_rng(9)
+        diatonic = [slot for slot in range(VOCAB.pitch_count)
+                    if (VOCAB.pitch_lo + slot) % 12 in DIATONIC_CLASSES]
+        fallbacks = 0
+        for case in range(600):
+            rules = frozenset(rule for bit, rule in enumerate(Rule) if case % 8 & (1 << bit))
+            pitch_dist = rng.dirichlet(np.full(VOCAB.pitch_count, 0.3))
+            pitch_dist *= rng.random(VOCAB.pitch_count) < 0.5
+            if case % 5 == 0:
+                pitch_dist[diatonic] = 0.0  # no mass where DIA conforms
+            if not pitch_dist.sum():
+                pitch_dist[61 - VOCAB.pitch_lo] = 1.0
+            dur_dist = rng.dirichlet(np.ones(VOCAB.duration_count))
+            if case % 7 == 0:
+                history = [NoteEvent(60, 4), NoteEvent(62, 4)]  # a whole step: no triad fits
+            else:
+                pitches = rng.integers(VOCAB.pitch_lo, VOCAB.pitch_hi + 1, case % 4)
+                history = [NoteEvent(int(p), 4) for p in pitches]
+            cap = int(rng.integers(1, 9))
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            got = constrained_sample(pitch_dist, dur_dist, history, rules, VOCAB, ours, cap=cap)
+            want = reference_constrained_sample(pitch_dist, dur_dist, history, rules, VOCAB,
+                                                theirs, cap)
+            assert got == want
+            assert ours.random() == theirs.random()
+            fallbacks += got[1] > cap
+        assert fallbacks > 50
+
     def test_conforming_mass_returns_first_try(self):
         rng = np.random.default_rng(0)
         pitch_dist = _point_mass(VOCAB.pitch_count, 60 - VOCAB.pitch_lo)  # C4

@@ -206,6 +206,30 @@ class TestLstmStep:
             assert np.abs(stepped_h[k] - row_h).max() <= 1e-12
 
 
+def two_hot_stream(rng, n, P=59, D=30):
+    """(n, P + D) one-hot notes: one pitch and one duration column hot."""
+    stream = np.zeros((n, P + D))
+    stream[np.arange(n), rng.integers(0, P, n)] = 1.0
+    stream[np.arange(n), P + rng.integers(0, D, n)] = 1.0
+    return stream
+
+
+class ConcatenatingBank:
+    """A window bank that concatenates a fresh step input on every read."""
+
+    def __init__(self, size):
+        self.size, self.C, self.h = size, None, None
+
+    def read(self, params, x):
+        zero = np.zeros((1, params.hidden_size))
+        if self.h is None:
+            C = h = zero
+        else:
+            C = np.concatenate((zero, self.C[: self.size - 1]))
+            h = np.asfortranarray(np.concatenate((zero, self.h[: self.size - 1])))
+        self.C, self.h = lstm_step(params, x, C, h)
+
+
 class TestForward:
     def test_zero_params_output_is_bias(self):
         params = zero_params(input_size=6, hidden_size=3)
@@ -238,6 +262,39 @@ class TestForward:
         for t in range(500):
             banked = forward(params, stream[:7] if t == 0 else stream[t + 6 : t + 7], bank)
             assert np.abs(banked - forward(params, stream[t : t + 7])).max() <= 1e-12
+
+    def test_window_bank_equals_a_bank_that_concatenates_on_every_read(self):
+        # Exactly equal, bank state included, to a bank that builds its step
+        # input afresh on every read: a zero row, then the kept rows.
+        rng = make_rng(9)
+        params = init_params(89, 128, rng)
+        stream = two_hot_stream(rng, 506)
+        bank, reference = Window(7), ConcatenatingBank(7)
+        for t in range(500):
+            inputs = stream[:7] if t == 0 else stream[t + 6 : t + 7]
+            banked = forward(params, inputs, bank)
+            for x in inputs:
+                reference.read(params, x)
+            assert np.array_equal(banked, params.V @ reference.h[-1] + params.c)
+            assert np.array_equal(bank.C, reference.C) and np.array_equal(bank.h, reference.h)
+
+    def test_banks_read_alternately_equal_each_bank_alone(self):
+        rng = make_rng(10)
+        params = init_params(89, 128, rng)
+        streams = [two_hot_stream(rng, 206), two_hot_stream(rng, 206)]
+
+        def reads(stream, t):
+            return stream[:7] if t == 0 else stream[t + 6 : t + 7]
+
+        alone = []
+        for stream in streams:
+            bank = Window(7)
+            alone.append([forward(params, reads(stream, t), bank) for t in range(200)])
+        banks = [Window(7), Window(7)]
+        for t in range(200):
+            for k in (0, 1):
+                assert np.array_equal(forward(params, reads(streams[k], t), banks[k]),
+                                      alone[k][t])
 
     def test_window_bank_refuses_output_before_full(self):
         params = init_params(6, 4, make_rng(0))
