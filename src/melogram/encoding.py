@@ -1,11 +1,11 @@
 """Note vocabulary and the two-segment one-hot vector representation.
 
-Each note becomes a single binary vector of length P + D: a pitch segment
-with one hot bit among P semitone slots, concatenated with a duration
-segment with one hot bit among D duration-table slots. Model outputs over
-the same layout are normalized per segment before sampling. Training data keeps
-each note as its (pitch slot, duration slot) pair and becomes vectors one
-mini-batch at a time.
+Each note is a single binary vector of length P + D: a pitch segment with
+one hot bit among P semitone slots, concatenated with a duration segment
+with one hot bit among D duration-table slots. Model outputs over the same
+layout are normalized per segment before sampling. Training data keeps each
+note as its (pitch slot, duration slot) pair and becomes vectors one
+mini-batch at a time; generation feeds the network a note's ``hot_columns``.
 """
 
 from __future__ import annotations
@@ -105,12 +105,15 @@ def note_indices(note: NoteEvent, vocab: NoteVocabulary) -> tuple[int, int]:
     return vocab.pitch_index(note.pitch), vocab.duration_index(note.duration)
 
 
+def hot_columns(note: NoteEvent, vocab: NoteVocabulary) -> tuple[int, int]:
+    """The note's two hot columns: its pitch slot, then P plus its duration slot."""
+    return vocab.pitch_index(note.pitch), vocab.pitch_count + vocab.duration_index(note.duration)
+
+
 def encode_note(note: NoteEvent, vocab: NoteVocabulary) -> np.ndarray:
-    """Encode a note as a two-segment one-hot vector of length P + D."""
-    pi, di = note_indices(note, vocab)
+    """Encode a note as a two-segment vector of length P + D, one at its ``hot_columns``."""
     vec = np.zeros(vocab.dim)
-    vec[pi] = 1.0
-    vec[vocab.pitch_count + di] = 1.0
+    vec[list(hot_columns(note, vocab))] = 1.0
     return vec
 
 
@@ -193,9 +196,9 @@ def stack_examples(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split windows into (contexts, pitch targets, duration targets) arrays.
 
-    ``contexts`` is (N, W, 2) int16: the two hot columns of each context
-    note's ``encode_note`` vector, its pitch slot and P plus its duration
-    slot. The targets are int64 slot indices.
+    ``contexts`` is (N, W, 2) int16: each context note's ``hot_columns``,
+    its pitch slot and P plus its duration slot. The targets are int64 slot
+    indices.
     """
     if not len(windows):
         raise ValueError("no training examples to stack")

@@ -135,16 +135,16 @@ def _cell(z: np.ndarray, gates: np.ndarray, *, C_prev: np.ndarray, C: np.ndarray
     np.multiply(o, np.tanh(C, out=h), out=h)
 
 
-def lstm_step(params: LstmParams, x: np.ndarray, C: np.ndarray, h: np.ndarray
+def lstm_step(params: LstmParams, zx: np.ndarray, C: np.ndarray, h: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the recurrent state ``(C, h)`` by one input vector; return the new one.
+    """Advance the recurrent state ``(C, h)`` by one input; return the new one.
 
-    ``C`` and ``h`` are one state, of shape (H,), or a stack of k states of
-    shape (k, H) that all read the same ``x``; the recurrent product of a
-    stack runs as one matrix product.
+    ``zx`` is the input's ``W x + b`` (4H,). ``C`` and ``h`` are one state (H,)
+    or a stack of k states (k, H) that all read it; the recurrent product of
+    a stack runs as one matrix product.
     """
     z = h @ params.U.T
-    z += params.W @ x + params.b
+    z += zx
     new_C, new_h = np.empty(C.shape), np.empty(C.shape)
     _cell(z, np.empty((4,) + C.shape), C_prev=C, C=new_C, h=new_h)
     return new_C, new_h
@@ -169,38 +169,41 @@ class Window:
     _C_in: np.ndarray = field(init=False, repr=False)
     _h_in: np.ndarray = field(init=False, repr=False)
 
-    def read(self, params: LstmParams, x: np.ndarray) -> None:
-        if self.h is None:
-            # Column-major h: OpenBLAS multiplies a (7, 128) stack by U.T in ~37 us, row-major ~58.
-            shape = (self.size, params.hidden_size)
-            self._C_in, self._h_in = np.zeros(shape), np.zeros(shape, order="F")
-            rows = 1
-        else:
-            rows = min(len(self.h) + 1, self.size)
-            self._C_in[1:rows] = self.C[: rows - 1]
-            self._h_in[1:rows] = self.h[: rows - 1]
-        self.C, self.h = lstm_step(params, x, self._C_in[:rows], self._h_in[:rows])
+    def read(self, params: LstmParams, inputs) -> None:
+        for p, q in inputs:
+            if self.h is None:
+                # Column-major h: OpenBLAS multiplies a (7, 128) stack by U.T in ~37 us, row-major ~58.
+                shape = (self.size, params.hidden_size)
+                self._C_in, self._h_in = np.zeros(shape), np.zeros(shape, order="F")
+                rows = 1
+            else:
+                rows = min(len(self.h) + 1, self.size)
+                self._C_in[1:rows] = self.C[: rows - 1]
+                self._h_in[1:rows] = self.h[: rows - 1]
+            zx = params.W[:, p] + params.W[:, q] + params.b
+            self.C, self.h = lstm_step(params, zx, self._C_in[:rows], self._h_in[:rows])
 
 
-def forward(params: LstmParams, inputs: np.ndarray, window: Window | None = None) -> np.ndarray:
-    """Read ``inputs`` (steps x E) into a window bank; return the raw output layer.
+def forward(params: LstmParams, inputs, window: Window | None = None) -> np.ndarray:
+    """Read ``inputs`` into a window bank; return the raw output layer.
 
-    The output is that of the bank's last ``size`` inputs, read from a zero
-    state. Without a ``window`` the bank is a fresh one of ``len(inputs)``
-    rows, so the output is that of ``inputs`` alone. A generation stream
-    passes one bank, the seed phrase on the first call and then each new
-    note alone. A bank that has read fewer inputs than its size raises
-    ``ValueError``.
+    Each input is a two-hot vector given as its hot columns ``(p, q)`` in
+    0..E-1, read as ``W[:, p] + W[:, q] + b``: bit for bit ``W x + b``. The
+    output is that of the bank's last ``size`` inputs, read from a zero
+    state; without a ``window``, of a fresh bank of ``len(inputs)`` rows, so
+    of ``inputs`` alone. A generation stream passes one bank, the seed phrase
+    first and then each new note alone. No input, another row or a bank that
+    has read fewer inputs than its size raises ``ValueError``.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or not len(inputs) or inputs.shape[1] != params.input_size:
-        raise ValueError(
-            f"inputs must be (steps >= 1, {params.input_size}), got {inputs.shape}"
-        )
-    if window is None:
-        window = Window(len(inputs))
-    for x in inputs:
-        window.read(params, x)
+    E = params.input_size
+    if not len(inputs):
+        raise ValueError("inputs must hold at least one pair of hot columns")
+    for k, row in enumerate(inputs):
+        if not (hasattr(row, "__len__") and len(row) == 2
+                and all(isinstance(c, (int, np.integer)) and 0 <= c < E for c in row)):
+            raise ValueError(f"inputs[{k}] must be two integer columns in 0..{E - 1}, got {row!r}")
+    window = Window(len(inputs)) if window is None else window
+    window.read(params, inputs)
     if len(window.h) < window.size:
         raise ValueError(f"window bank holds {window.size} inputs, has read {len(window.h)}")
     return params.V @ window.h[-1] + params.c

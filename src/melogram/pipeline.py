@@ -30,7 +30,7 @@ from .encoding import (
     EncodingError,
     NoteVocabulary,
     default_vocabulary,
-    encode_note,
+    hot_columns,
     make_training_windows,
     note_indices,
     sample_note,
@@ -338,7 +338,7 @@ def _generate(params: network.LstmParams, seed_phrase: list[NoteEvent], n: int, 
     notes = list(seed_phrase)
     amended_pairs: list[AmendedPair] = []
     bank = network.Window(cfg.window)
-    inputs = np.stack([encode_note(note, cfg.vocab) for note in notes])
+    inputs = [hot_columns(note, cfg.vocab) for note in notes]
     for _ in range(n):
         pitch_dist, dur_dist = split_distribution(network.forward(params, inputs, bank), cfg.vocab)
         if rules is None:
@@ -350,7 +350,7 @@ def _generate(params: network.LstmParams, seed_phrase: list[NoteEvent], n: int, 
             if attempts > 1:  # the first draw was refused
                 amended_pairs.append(AmendedPair(tuple(notes[-cfg.window:]), note, attempts))
         notes.append(note)
-        inputs = encode_note(note, cfg.vocab)[None]
+        inputs = [hot_columns(note, cfg.vocab)]
     return notes[len(seed_phrase):], amended_pairs
 
 

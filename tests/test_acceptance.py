@@ -18,6 +18,7 @@ from melogram.encoding import (
     NoteVocabulary,
     default_vocabulary,
     encode_note,
+    hot_columns,
     make_training_windows,
     stack_examples,
 )
@@ -244,6 +245,8 @@ class TestEncodingInvariants:
                 assert vec[vocab.pitch_count :].sum() == 1.0
                 assert np.count_nonzero(vec) == 2
                 assert decode(vec, vocab) == note
+                columns = np.array(hot_columns(note, vocab))
+                assert np.array_equal(network.one_hot(columns, vocab.dim), vec)
                 count += 1
         assert count == 59 * 30 == 1770
         report("encoding-invariants", f"{count} notes swept")

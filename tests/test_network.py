@@ -46,10 +46,20 @@ from conftest import damaged
 TRAINING = dict(learning_rate=0.001, plateau_patience=10, plateau_threshold=1e-4, clip_norm=5.0)
 
 
+def dense_forward(params, X):
+    """The raw output after reading the dense input rows ``X`` from a zero state:
+    ``lstm_step`` on ``W x + b`` per row, then the readout. The reference for
+    ``forward``, which reads two-hot inputs as their hot columns."""
+    C = h = np.zeros(params.hidden_size)
+    for x in X:
+        C, h = lstm_step(params, params.W @ x + params.b, C, h)
+    return params.V @ h + params.c
+
+
 def forward_loss(params, x, target, pitch_dim):
-    """Loss of one context along the inference path: ``forward``, then the two
-    per-segment categorical cross-entropies. The oracle for ``batch_gradients``."""
-    raw = forward(params, x)
+    """Loss of one context along the inference path: ``dense_forward``, then the
+    two per-segment categorical cross-entropies. The oracle for ``batch_gradients``."""
+    raw = dense_forward(params, x)
     total = 0.0
     for segment, slot in ((raw[:pitch_dim], target[0]), (raw[pitch_dim:], target[1])):
         shifted = segment - segment.max()
@@ -165,13 +175,13 @@ class TestLstmStep:
         # candidate tanh(0) = 0, so C = sigmoid(1) * C_prev.
         params = zero_params(forget_bias=1.0)
         c0 = np.array([1.0, -2.0, 0.5])
-        C, _ = lstm_step(params, np.zeros(4), c0, np.zeros(3))
+        C, _ = lstm_step(params, params.W @ np.zeros(4) + params.b, c0, np.zeros(3))
         expected = (1.0 / (1.0 + math.exp(-1.0))) * c0
         assert np.allclose(C, expected, atol=1e-12)
 
     def test_zero_params_zero_state_fixed_point(self):
         params = zero_params()
-        C, h = lstm_step(params, np.zeros(4), np.zeros(3), np.zeros(3))
+        C, h = lstm_step(params, params.W @ np.zeros(4) + params.b, np.zeros(3), np.zeros(3))
         assert np.all(C == 0.0)
         assert np.all(h == 0.0)
 
@@ -179,7 +189,7 @@ class TestLstmStep:
         # With zero weights, f = sigmoid(0) = 0.5 exactly: C = 0.5 * C_prev.
         params = zero_params()
         c0 = np.array([2.0, 2.0, 2.0])
-        C, _ = lstm_step(params, np.ones(4), c0, np.zeros(3))
+        C, _ = lstm_step(params, params.W @ np.ones(4) + params.b, c0, np.zeros(3))
         assert np.allclose(C, 0.5 * c0, atol=1e-15)
 
     def test_hidden_state_bounded_and_gates_open(self):
@@ -188,7 +198,7 @@ class TestLstmStep:
         C, h = np.zeros(5), np.zeros(5)
         for _ in range(50):
             x = rng.normal(size=6) * 3
-            C, h = lstm_step(params, x, C, h)
+            C, h = lstm_step(params, params.W @ x + params.b, C, h)
             assert np.all(np.abs(h) <= 1.0)
             assert np.all(np.isfinite(C))
 
@@ -198,55 +208,55 @@ class TestLstmStep:
         params = init_params(6, 5, rng)
         C, h = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         x = rng.normal(size=6)
-        stepped_C, stepped_h = lstm_step(params, x, C, h)
+        zx = params.W @ x + params.b
+        stepped_C, stepped_h = lstm_step(params, zx, C, h)
         assert stepped_C.shape == stepped_h.shape == (4, 5)
         for k in range(4):
-            row_C, row_h = lstm_step(params, x, C[k], h[k])
+            row_C, row_h = lstm_step(params, zx, C[k], h[k])
             assert np.abs(stepped_C[k] - row_C).max() <= 1e-12
             assert np.abs(stepped_h[k] - row_h).max() <= 1e-12
 
 
 def two_hot_stream(rng, n, P=59, D=30):
-    """(n, P + D) one-hot notes: one pitch and one duration column hot."""
-    stream = np.zeros((n, P + D))
-    stream[np.arange(n), rng.integers(0, P, n)] = 1.0
-    stream[np.arange(n), P + rng.integers(0, D, n)] = 1.0
-    return stream
+    """(n, 2) two-hot notes as their hot columns: a pitch slot, then P plus a duration slot."""
+    return np.stack([rng.integers(0, P, n), P + rng.integers(0, D, n)], axis=1)
 
 
 class ConcatenatingBank:
-    """A window bank that concatenates a fresh step input on every read."""
+    """A window bank that concatenates a fresh step input on every read and
+    steps on the dense one-hot vector, ``W x + b``."""
 
     def __init__(self, size):
         self.size, self.C, self.h = size, None, None
 
-    def read(self, params, x):
+    def read(self, params, columns):
         zero = np.zeros((1, params.hidden_size))
         if self.h is None:
             C = h = zero
         else:
             C = np.concatenate((zero, self.C[: self.size - 1]))
             h = np.asfortranarray(np.concatenate((zero, self.h[: self.size - 1])))
-        self.C, self.h = lstm_step(params, x, C, h)
+        x = one_hot(np.asarray(columns), params.input_size)
+        self.C, self.h = lstm_step(params, params.W @ x + params.b, C, h)
 
 
 class TestForward:
     def test_zero_params_output_is_bias(self):
         params = zero_params(input_size=6, hidden_size=3)
-        raw = forward(params, np.zeros((4, 6)))
+        raw = forward(params, [(0, 3)] * 4)
         assert np.all(raw == 0.0)
 
     def test_order_sensitivity(self):
         rng = make_rng(1)
         params = init_params(5, 4, rng)
-        a = rng.random((2, 5))
+        a = two_hot_stream(rng, 2, P=2, D=3)
         raw_ab = forward(params, a)
         raw_ba = forward(params, a[::-1])
         assert not np.allclose(raw_ab, raw_ba)
 
     def test_output_dimension_matches_defaults(self):
         params = init_params(89, 128, make_rng(0))
-        raw = forward(params, np.zeros((7, 89)))
+        raw = forward(params, [(0, 59)] * 7)
         assert raw.shape == (89,)
 
     def test_window_bank_matches_one_shot_along_stream(self):
@@ -255,9 +265,7 @@ class TestForward:
         # of a one-shot forward over the last 7 notes read.
         rng = make_rng(8)
         params = init_params(89, 128, rng)
-        stream = np.zeros((506, 89))
-        stream[np.arange(506), rng.integers(0, 59, 506)] = 1.0
-        stream[np.arange(506), 59 + rng.integers(0, 30, 506)] = 1.0
+        stream = two_hot_stream(rng, 506)
         bank = Window(7)
         for t in range(500):
             banked = forward(params, stream[:7] if t == 0 else stream[t + 6 : t + 7], bank)
@@ -273,8 +281,8 @@ class TestForward:
         for t in range(500):
             inputs = stream[:7] if t == 0 else stream[t + 6 : t + 7]
             banked = forward(params, inputs, bank)
-            for x in inputs:
-                reference.read(params, x)
+            for columns in inputs:
+                reference.read(params, columns)
             assert np.array_equal(banked, params.V @ reference.h[-1] + params.c)
             assert np.array_equal(bank.C, reference.C) and np.array_equal(bank.h, reference.h)
 
@@ -300,10 +308,28 @@ class TestForward:
         params = init_params(6, 4, make_rng(0))
         bank = Window(7)
         with pytest.raises(ValueError, match="window bank holds 7 inputs, has read 5"):
-            forward(params, np.zeros((5, 6)), bank)
+            forward(params, [(0, 3)] * 5, bank)
         with pytest.raises(ValueError, match="has read 6"):
-            forward(params, np.zeros((1, 6)), bank)
-        assert forward(params, np.zeros((1, 6)), bank).shape == (6,)
+            forward(params, [(0, 3)], bank)
+        assert forward(params, [(0, 3)], bank).shape == (6,)
+
+    @pytest.mark.parametrize("inputs, match", [
+        ([], "at least one pair"),
+        ([(0, -1)], r"inputs\[0\] must be two integer columns in 0\.\.5"),
+        ([(0, 6)], r"inputs\[0\] must be two integer columns in 0\.\.5"),
+        ([(0, 3), (0, 6)], r"inputs\[1\]"),
+        ([(0, 3), (1.0, 3)], r"inputs\[1\]"),
+        ([(0, 3, 4)], r"inputs\[0\]"),
+        ([3], r"inputs\[0\]"),
+        (np.zeros((7, 6)), r"inputs\[0\]"),
+    ], ids=["empty", "negative", "past-E", "second-row", "float", "three", "scalar-row", "dense"])
+    def test_refuses_inputs_that_are_not_hot_column_pairs(self, inputs, match):
+        # A negative column would otherwise wrap onto another slot of W.
+        params = init_params(6, 4, make_rng(0))
+        bank = Window(2)
+        with pytest.raises(ValueError, match=match):
+            forward(params, inputs, bank)
+        assert bank.h is None, "a refused input must leave the bank unread"
 
 
 class TestLoss:

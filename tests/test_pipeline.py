@@ -29,6 +29,7 @@ from melogram.grammar import AmendedPair, Rule
 from melogram.notes import NoteEvent
 
 from conftest import random_melody, walk_melody
+from test_network import dense_forward
 
 
 def tiny_config(**overrides) -> pipeline.RunConfig:
@@ -311,7 +312,7 @@ def no_windows(cfg):
 
 class TestBuildAugmentedDataset:
     def test_training_inputs_are_encoded_notes(self):
-        # The hot columns fit expands are the vectors generation feeds forward.
+        # The hot columns fit expands are the notes' encode_note vectors.
         cfg = tiny_config()
         corpus = tiny_corpus(cfg)
         rng = np.random.default_rng(9)
@@ -426,7 +427,8 @@ class TestPhase2Generate:
 
 
 def one_shot_generate(params, seed_phrase, n, cfg, rng, rules=None):
-    """Reference generation: each note from a one-shot forward over the last W notes.
+    """Reference generation: each note from a one-shot dense forward over the
+    ``encode_note`` vectors of the last W notes.
 
     Free sampling when ``rules`` is None, else rule-filtered sampling that
     also returns the amended pairs, as ``phase1_generate`` does.
@@ -435,7 +437,7 @@ def one_shot_generate(params, seed_phrase, n, cfg, rng, rules=None):
     pairs = []
     for _ in range(n):
         context = notes[-cfg.window :]
-        raw = network.forward(params, np.stack([encode_note(x, cfg.vocab) for x in context]))
+        raw = dense_forward(params, [encode_note(x, cfg.vocab) for x in context])
         pitch_dist, dur_dist = split_distribution(raw, cfg.vocab)
         if rules is None:
             note = NoteEvent(cfg.vocab.pitch_lo + sample_index(pitch_dist, rng),
