@@ -316,13 +316,15 @@ def train_orig(corpus: list[Melody], cfg: RunConfig
 
 
 def _check_seed_phrase(seed_phrase: list[NoteEvent], cfg: RunConfig) -> None:
+    """Refuse a seed phrase other than ``window`` notes of the vocabulary, naming the note."""
     if len(seed_phrase) != cfg.window:
         raise ValueError(
             f"seed phrase must have exactly {cfg.window} notes, got {len(seed_phrase)}"
         )
-    for note in seed_phrase:
-        if not cfg.vocab.contains(note):
-            raise ValueError(f"seed note {note} is outside the vocabulary")
+    try:
+        make_training_windows(Melody(notes=seed_phrase), cfg.window, cfg.vocab)
+    except EncodingError as exc:  # located as ``[k]: ...``
+        raise EncodingError(f"seed phrase{exc}") from None
 
 
 def _generate(params: network.LstmParams, seed_phrase: list[NoteEvent], n: int, cfg: RunConfig,
@@ -638,11 +640,7 @@ def train(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     params, trace, kept = train_on_examples(windows, cfg)
     entry = _save_mode(run_dir, "orig", params, trace, kept, windows, cfg)
     (run_dir / MANIFEST).unlink(missing_ok=True)  # later stages' files came from the old orig
-    update_manifest(run_dir, {
-        "config": config_to_dict(cfg),
-        "corpus": {"pieces": len(corpus)},
-        "modes": {"orig": entry},
-    })
+    update_manifest(run_dir, {"corpus": {"pieces": len(corpus)}, "modes": {"orig": entry}})
 
 
 def amend_streams(cfg: RunConfig) -> list[tuple[str, frozenset[Rule]]]:
@@ -659,12 +657,13 @@ def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
           rules: frozenset[Rule] | None = None) -> None:
     """Harvest amended pairs from the ``amend_streams`` of ``orig``.
 
-    Each stream goes into ``amended/<stream>.json``; with ``rules`` only the
+    Each stream goes into ``amended/<stream>.json``, and its manifest entry
+    records the config and seed phrase that made it; with ``rules`` only the
     streams of those single rules run. A stream's random seed depends on the
     stream alone, so a subset reproduces the streams of a full run.
     """
     params = load_checked_weights(run_dir, "orig", cfg)
-    (run_dir / "amended").mkdir(parents=True, exist_ok=True)
+    made_by = {"config": config_to_dict(cfg), "seed_phrase": [_note_obj(n) for n in seed_phrase]}
     phase1 = {}
     for index, (stream, stream_rules) in enumerate(amend_streams(cfg)):
         if rules is not None and stream not in {rule.value for rule in rules}:
@@ -674,18 +673,17 @@ def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
             params, seed_phrase, cfg.phase1_notes, stream_rules, cfg, rng
         )
         path = run_dir / "amended" / f"{stream}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)  # not before a stream is made
         save_amended(path, amended)
         phase1[stream] = {
             "rules": sorted(rule.value for rule in stream_rules),
             "generated": len(filtered),
             "amended": len(amended),
             "path": str(path.relative_to(run_dir)),
+            **made_by,
         }
         log.info("%s: %d of %d notes amended", stream, len(amended), len(filtered))
-    update_manifest(run_dir, {
-        "seed_phrase": [_note_obj(n) for n in seed_phrase],
-        "phase1": phase1,
-    })
+    update_manifest(run_dir, {"phase1": phase1})
 
 
 def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
@@ -694,8 +692,10 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     Each mode takes its ``amend_streams`` stream; without a ``mix`` stream,
     ``mix`` pools the amended rows of the three rule streams. The four
     trainings run side by side through ``train_modes``. A corpus other than
-    the one the manifest records for ``orig`` is refused.
+    the one the manifest records for ``orig`` is refused, and so is a config
+    whose vocabulary or window differs from the one ``orig`` was trained under.
     """
+    _check_recorded_config(run_dir, "orig", cfg, "vocabulary", "model.window")
     orig_windows = corpus_windows(corpus, cfg)
     trained_on = read_manifest(run_dir).get("modes", {}).get("orig", {}).get("dataset_sha256")
     if trained_on is not None and dataset_fingerprint(orig_windows) != trained_on:
@@ -771,10 +771,18 @@ def evaluate(melodies: list[Path | str], corpus: list[Melody] | None = None,
 
 
 def default_seed_phrase(corpus: list[Melody], cfg: RunConfig) -> list[NoteEvent]:
-    """First window of the first corpus piece long enough to supply one."""
-    for melody in corpus:
+    """First window of the first corpus piece long enough to supply one.
+
+    A note of it outside the vocabulary raises ``CorpusError`` naming its piece and note index.
+    """
+    for piece, melody in enumerate(corpus):
         if len(melody.notes) >= cfg.window:
-            return list(melody.notes[: cfg.window])
+            phrase = Melody(notes=melody.notes[: cfg.window])
+            try:
+                make_training_windows(phrase, cfg.window, cfg.vocab)
+            except EncodingError as exc:  # located as ``[j]: ...``
+                raise CorpusError(f"pieces[{piece}].notes{exc}") from None
+            return phrase.notes
     raise CorpusError(f"no corpus piece has {cfg.window} notes for a seed phrase")
 
 
@@ -819,12 +827,12 @@ def read_manifest(run_dir: Path) -> dict:
 
 
 def _manifest_from_obj(payload) -> dict:
-    """``payload``, refused unless it and each block and entry a stage reads are objects."""
-    for block in ("config", "corpus", "modes", "phase1"):
+    """``payload``, refused unless it and each block, entry and entry ``config`` are objects."""
+    for block in ("config", "corpus", "modes", "phase1"):  # an older manifest's top-level config
         _object(_object(payload, "").get(block, {}), block)
     for block in ("modes", "phase1"):  # stages read inside each entry
         for key, entry in payload.get(block, {}).items():
-            _object(entry, f"{block}.{key}")
+            _object(_object(entry, f"{block}.{key}").get("config", {}), f"{block}.{key}.config")
     return payload
 
 
@@ -841,17 +849,14 @@ def _require_record(run_dir: Path, block: str, key: str) -> None:
 
 
 def update_manifest(run_dir: Path, update: dict) -> None:
-    """Merge ``update`` into the run's manifest and write it atomically.
+    """Add the entries of each ``{block: entries}`` of ``update`` to the run's manifest.
 
-    Blocks that are objects on both sides are merged key by key, so each
-    stage adds its own entries; anything else is replaced.
+    An entry replaces the one of its key and leaves the block's others; the
+    manifest is written atomically.
     """
     manifest = read_manifest(run_dir)
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(manifest.get(key), dict):
-            manifest[key].update(value)
-        else:
-            manifest[key] = value
+    for block, entries in update.items():
+        manifest.setdefault(block, {}).update(entries)
     network.write_atomic(run_dir / MANIFEST, json_text(manifest).encode())
 
 
@@ -865,17 +870,31 @@ def load_checked_weights(run_dir: Path, mode: str, cfg: RunConfig) -> network.Ls
     """``weights/<mode>.wts``, refused unless its dimensions match the config.
 
     Every ``WeightsFormatError``, a malformed file or a mismatch, names the file.
-    The file holds slot counts only, so the manifest's vocabulary is checked too.
+    The file holds slot counts only, so its recorded config's vocabulary is checked too.
     """
     path = run_dir / "weights" / f"{mode}.wts"
     with naming(path):
         params, meta = network.load_weights(path)
         network.check_compatible(meta, **vars(_weights_meta(cfg)))
-    trained_on = read_manifest(run_dir).get("config", {}).get("vocabulary")
-    if trained_on is not None and trained_on != config_to_dict(cfg)["vocabulary"]:
-        raise ValueError(f"{run_dir / MANIFEST} records another vocabulary; use the config "
-                         f"that train read")
+    _check_recorded_config(run_dir, mode, cfg, "vocabulary")
     return params
+
+
+def _check_recorded_config(run_dir: Path, mode: str, cfg: RunConfig, *keys: str) -> None:
+    """Refuse ``cfg`` where it differs from the config recorded for ``mode`` at ``keys``.
+
+    A key is a block (``vocabulary``) or a ``block.key`` (``model.window``); a
+    value the manifest does not record is not checked.
+    """
+    manifest = read_manifest(run_dir)  # an older manifest holds its config at top level
+    recorded = manifest.get("modes", {}).get(mode, {}).get("config", manifest.get("config", {}))
+    for key in keys:
+        theirs, ours = recorded, config_to_dict(cfg)
+        for name in key.split("."):
+            theirs, ours = theirs.get(name) if isinstance(theirs, dict) else None, ours[name]
+        if theirs not in (None, ours):
+            raise ValueError(f"{run_dir / MANIFEST} records another {key}; use the config "
+                             f"that train read")
 
 
 def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list[float],
@@ -896,4 +915,5 @@ def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list
         "final_loss": trace[-1],
         "best_epoch": kept,
         "best_loss": trace[kept - 1],
+        "config": config_to_dict(cfg),
     }

@@ -45,6 +45,33 @@ def write_corpus(tmp_path: Path, pieces=3, length=40, seed=5) -> Path:
     return path
 
 
+def config_variant(tmp_path: Path, name: str, **blocks) -> Path:
+    """The tiny config file with the keys of ``blocks`` changed, written as ``<name>.json``."""
+    data = json.loads(tiny_config_file(tmp_path).read_text())
+    for block, values in blocks.items():
+        data[block].update(values)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def to_older_layout(run_dir: Path) -> None:
+    """Rewrite the run's manifest as versions whose entries held no config wrote it.
+
+    The config of ``orig`` and the seed phrase of the amend streams move to
+    top-level ``config`` and ``seed_phrase`` keys.
+    """
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"] = manifest["modes"]["orig"]["config"]
+    for block in ("modes", "phase1"):
+        for entry in manifest.get(block, {}).values():
+            del entry["config"]
+            if "seed_phrase" in entry:
+                manifest["seed_phrase"] = entry.pop("seed_phrase")
+    path.write_text(pipeline.json_text(manifest))
+
+
 def melody_track(pitches, ticks=240, time_sig=(4, 4), key_sig=None):
     events = [(0, bytes([0xFF, 0x58, 0x04, time_sig[0],
                          {1: 0, 2: 1, 4: 2, 8: 3}[time_sig[1]], 24, 8]))]
@@ -295,8 +322,46 @@ class TestStagedCommands:
         for command in ("train", "amend", "train"):
             assert cli.main([command, *common]) == 0
         manifest = pipeline.read_manifest(tmp_path / "run")
-        assert sorted(manifest) == ["config", "corpus", "modes"]
+        assert sorted(manifest) == ["corpus", "modes"]
         assert list(manifest["modes"]) == ["orig"]
+
+    def test_each_entry_records_the_config_and_seed_phrase_that_made_its_file(self, tmp_path):
+        corpus, run_dir = write_corpus(tmp_path), tmp_path / "run"
+        configs = {
+            "tiny": tiny_config_file(tmp_path),
+            "fewer": config_variant(tmp_path, "fewer", generation={"phase1_notes": 33}),
+            "longer": config_variant(tmp_path, "longer",
+                                     training={"epochs": 5, "plateau_patience": 5}),
+        }
+        recorded = {name: pipeline.config_to_dict(cli.load_config(str(path)))
+                    for name, path in configs.items()}
+        phrase = "60:4,62:4,64:4,65:4,67:4,69:4,71:4"
+
+        def run(command, config, *extra):
+            assert cli.main([command, "--corpus", str(corpus), "--config", str(configs[config]),
+                             "--run-dir", str(run_dir), *extra]) == 0
+
+        run("train", "tiny")
+        run("amend", "fewer")
+        run("retrain", "longer")
+        spi = (run_dir / "amended" / "spi.json").read_bytes()
+        run("amend", "tiny", "--rules", "dia", "--seed-phrase", phrase)
+        assert (run_dir / "amended" / "spi.json").read_bytes() == spi  # still made by "fewer"
+
+        manifest = pipeline.read_manifest(run_dir)
+        assert sorted(manifest) == ["corpus", "modes", "phase1"]
+        assert manifest["modes"]["orig"]["config"] == recorded["tiny"]
+        for mode in ("dia", "spi", "tri", "mix"):
+            assert manifest["modes"][mode]["config"] == recorded["longer"], mode
+        default = pipeline.default_seed_phrase(pipeline.load_corpus(corpus),
+                                               cli.load_config(str(configs["tiny"])))
+        streams = {"dia": ("tiny", cli.parse_seed_phrase(phrase), 40),
+                   "spi": ("fewer", default, 33), "tri": ("fewer", default, 33)}
+        for stream, (config, seed_phrase, generated) in streams.items():
+            entry = manifest["phase1"][stream]
+            assert entry["config"] == recorded[config], stream
+            assert entry["seed_phrase"] == [[n.pitch, n.duration] for n in seed_phrase], stream
+            assert entry["generated"] == generated, stream
 
     def test_retrain_refuses_the_amended_pairs_of_an_earlier_orig(self, tmp_path, caplog):
         (tmp_path / "other").mkdir()
@@ -355,6 +420,44 @@ class TestStagedCommands:
             f"use the config that train read")
         assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "weights"]
 
+    @pytest.mark.parametrize("command", ["generate", "amend"])
+    def test_an_older_manifest_keeps_the_vocabulary_refusal(self, tmp_path, caplog, command):
+        config, run_dir = tiny_config_file(tmp_path), tmp_path / "run"
+        assert cli.main(["train", "--corpus", str(write_corpus(tmp_path)),
+                         "--config", str(config), "--run-dir", str(run_dir)]) == 0
+        to_older_layout(run_dir)
+        shifted = config_variant(tmp_path, "shifted", vocabulary={"pitch_lo": 67, "pitch_hi": 91})
+        extra = ["--mode", "orig", "-n", "20"] if command == "generate" else []
+        common = ["--run-dir", str(run_dir), *extra]
+        code = cli.main([command, "--config", str(shifted), *common,
+                         "--seed-phrase", "67:4,69:4,71:4,72:4,74:4,76:4,77:4"])
+        assert code == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == (
+            f"{run_dir / 'manifest.json'} records another vocabulary; "
+            f"use the config that train read")
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "weights"]
+        assert cli.main([command, "--config", str(config), *common,
+                         "--seed-phrase", "60:4,62:4,64:4,65:4,67:4,69:4,71:4"]) == 0
+
+    @pytest.mark.parametrize("layout", ["entries", "older"])
+    @pytest.mark.parametrize("change, key", [
+        ({"model": {"window": 6}}, "model.window"),
+        ({"vocabulary": {"pitch_lo": 54}}, "vocabulary"),
+    ], ids=["window", "pitch-lo"])
+    def test_retrain_names_the_config_key_that_differs_from_orig(self, tmp_path, caplog,
+                                                                  change, key, layout):
+        run_dir = tmp_path / "run"
+        common = ["--corpus", str(write_corpus(tmp_path)), "--run-dir", str(run_dir)]
+        for command in ("train", "amend"):
+            assert cli.main([command, *common, "--config", str(tiny_config_file(tmp_path))]) == 0
+        if layout == "older":
+            to_older_layout(run_dir)
+        other = config_variant(tmp_path, "other", **change)
+        assert cli.main(["retrain", *common, "--config", str(other)]) == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == (
+            f"{run_dir / 'manifest.json'} records another {key}; use the config that train read")
+        assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
+
     def test_dimension_mismatch_refused_with_both_sizes(self, tmp_path, caplog):
         config = tiny_config_file(tmp_path)
         corpus = write_corpus(tmp_path)
@@ -410,8 +513,7 @@ class TestRunAll:
         assert cli.main(["run-all", *common, "--run-dir", str(run_dir), "--no-midi"]) == 0
         manifest = run_dir / "manifest.json"
         written = manifest.read_bytes()
-        assert sorted(json.loads(written)) == ["config", "corpus", "modes", "phase1",
-                                               "seed_phrase"]
+        assert sorted(json.loads(written)) == ["corpus", "modes", "phase1"]
         assert json.loads(written)["corpus"] == {"pieces": 3}
         assert cli.main(["generate", *common, "--run-dir", str(run_dir),
                          "--mode", "mix", "-n", "10"]) == 0
@@ -474,7 +576,7 @@ class TestStagedMatchesRunAll:
                 assert staged_files[name] == whole_files[name], name
         staged_manifest = json.loads(staged_files["manifest.json"])
         whole_manifest = json.loads(whole_files["manifest.json"])
-        for block in ("modes", "phase1", "corpus", "seed_phrase"):
+        for block in ("modes", "phase1", "corpus"):
             assert staged_manifest[block] == whole_manifest[block], block
         assert staged_files["manifest.json"] == whole_files["manifest.json"]
 
@@ -657,9 +759,10 @@ class TestConfigHandling:
             f"{manifest}: {block}: expected an object, got {type(value).__name__}")
         assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
 
-    @pytest.mark.parametrize("block, key", [("modes", "orig"), ("phase1", "dia")],
-                             ids=["modes-orig-int", "phase1-dia-int"])
-    def test_malformed_manifest_entry_is_named_parse_error(self, tmp_path, caplog, block, key):
+    @pytest.mark.parametrize("place", [("modes", "orig"), ("phase1", "dia"),
+                                       ("modes", "orig", "config")],
+                             ids=["modes-orig-int", "phase1-dia-int", "modes-orig-config-int"])
+    def test_malformed_manifest_entry_is_named_parse_error(self, tmp_path, caplog, place):
         run_dir = tmp_path / "run"
         common = ["--corpus", str(write_corpus(tmp_path)),
                   "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
@@ -667,11 +770,14 @@ class TestConfigHandling:
             assert cli.main([stage, *common]) == 0
         manifest = run_dir / "manifest.json"
         data = json.loads(manifest.read_text())
-        data[block][key] = 5
+        entry = data
+        for key in place[:-1]:
+            entry = entry[key]
+        entry[place[-1]] = 5
         manifest.write_text(json.dumps(data))
         assert cli.main(["retrain", *common]) == cli.EXIT_PARSE
         assert caplog.records[-1].getMessage() == (
-            f"{manifest}: {block}.{key}: expected an object, got int")
+            f"{manifest}: {'.'.join(place)}: expected an object, got int")
         assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
 
     @pytest.mark.parametrize("text, field", [
@@ -773,6 +879,32 @@ class TestConfigHandling:
         assert code == cli.EXIT_VALIDATION
         assert (f"{corpus}: {where}: pitch 100 outside vocabulary range 55..79"
                 in caplog.text)
+
+    @pytest.mark.parametrize("command", ["amend", "generate", "run-all"])
+    def test_out_of_vocabulary_seed_note_is_located(self, tmp_path, caplog, command):
+        config, run_dir = tiny_config_file(tmp_path), tmp_path / "run"
+        corpus = write_corpus(tmp_path)
+        assert cli.main(["train", "--corpus", str(corpus), "--config", str(config),
+                         "--run-dir", str(run_dir)]) == 0
+        written = (run_dir / "manifest.json").read_bytes()
+        payload = json.loads(corpus.read_text())
+        payload["pieces"][0]["notes"][2] = [100, 4]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        extra = ["--mode", "orig", "-n", "5"] if command == "generate" else []
+        common = ["--config", str(config), "--run-dir", str(run_dir), *extra]
+
+        assert cli.main([command, "--corpus", str(bad), *common]) == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == (
+            f"{bad}: pieces[0].notes[2]: pitch 100 outside vocabulary range 55..79")
+        assert cli.main([command, "--corpus", str(corpus), *common,
+                         "--seed-phrase", "60:4,62:4,64:4,65:4,67:4,69:4,71:3"]
+                        ) == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == (
+            "seed phrase[6]: duration 3 not in vocabulary table (1, 2, 4, 8)")
+        assert (run_dir / "manifest.json").read_bytes() == written
+        assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
+        assert not (run_dir / "melodies").exists() and not (run_dir / "amended").exists()
 
     @pytest.mark.parametrize("place", ["note", "context[3]"])
     def test_out_of_vocabulary_amended_note_is_located(self, tmp_path, caplog, place):
