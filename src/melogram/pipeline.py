@@ -278,16 +278,18 @@ def train_modes(datasets: dict[str, np.ndarray], cfg: RunConfig
     """``train_on_examples`` on each ``{mode: windows}`` dataset, side by side.
 
     Every training is submitted at once to worker processes, one per usable
-    CPU and at most one per dataset; a free worker takes the next one. A
-    worker runs BLAS at one thread, so its result does not depend on the
-    caller's thread count. This thread then makes one ``train_on_examples``
-    call per dataset, in ``datasets`` order, each returning its worker's
-    result: a profiler of this process sees every training's result in the
-    order serial calls would give them. The first failure in ``datasets``
-    order is raised, its message led by its mode, once the trainings before
-    it have ended; those not started are then cancelled. A worker that dies
-    raises ``BrokenProcessPool`` naming the likeliest cause: a calling script
-    whose top-level code is not under ``if __name__ == "__main__":``.
+    CPU and at most one per dataset, largest dataset first (equal sizes in
+    ``datasets`` order); a free worker takes the next one. A worker runs BLAS
+    at one thread, so its result depends neither on the caller's thread
+    count nor on the order of submission. This thread then makes one
+    ``train_on_examples`` call per dataset, in ``datasets`` order, each
+    returning its worker's result: a profiler of this process sees every
+    training's result in the order serial calls would give them. The first
+    failure in ``datasets`` order is raised, its message led by its mode,
+    once the trainings before it have ended; those not started are then
+    cancelled. A worker that dies raises ``BrokenProcessPool`` naming the
+    likeliest cause: a calling script whose top-level code is not under
+    ``if __name__ == "__main__":``.
     """
     from concurrent.futures.process import BrokenProcessPool  # see _worker_pool's imports
 
@@ -295,8 +297,11 @@ def train_modes(datasets: dict[str, np.ndarray], cfg: RunConfig
     results = {}
     try:
         with _worker_pool(workers) as pool:
-            pending = {mode: pool.submit(train_on_examples, windows, cfg)
-                       for mode, windows in datasets.items()}
+            # Submitted last, the largest would start only when a worker came
+            # free and run alone while the others sat idle.
+            largest_first = sorted(datasets, key=lambda mode: len(datasets[mode]), reverse=True)
+            pending = {mode: pool.submit(train_on_examples, datasets[mode], cfg)
+                       for mode in largest_first}
             for mode, windows in datasets.items():
                 with naming(mode):
                     results[mode] = train_on_examples(windows, cfg, pending[mode])
@@ -551,7 +556,7 @@ def save_amended(path: Path, amended: list[AmendedPair]) -> None:
         }
         for pair in amended
     ]
-    Path(path).write_text(json_text(payload))
+    Path(path).write_text(json_text(payload, indent=None))
 
 
 def load_amended(path: Path) -> list[AmendedPair]:

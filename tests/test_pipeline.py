@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import wraps
 from pathlib import Path
@@ -186,6 +188,30 @@ class TestTrainModes:
         pipeline.train_modes(datasets, cfg)
         assert returned == [len(windows) for windows in datasets.values()]
 
+    def test_largest_dataset_is_submitted_first(self, monkeypatch):
+        # A pool that records which dataset it receives and hands back its size.
+        cfg = tiny_config()
+        windows = pipeline.corpus_windows(tiny_corpus(cfg), cfg)
+        sizes = {"dia": 20, "spi": 30, "tri": 20, "mix": 50}
+        datasets = {mode: windows[:size] for mode, size in sizes.items()}
+        submitted = []
+
+        class RecordingPool:
+            def submit(self, fn, windows, cfg):
+                submitted.append(next(m for m, data in datasets.items() if data is windows))
+                done = Future()
+                done.set_result(len(windows))
+                return done
+
+        @contextmanager
+        def recording_pool(workers):
+            yield RecordingPool()
+
+        monkeypatch.setattr(pipeline, "_worker_pool", recording_pool)
+        results = pipeline.train_modes(datasets, cfg)
+        assert submitted == ["mix", "spi", "dia", "tri"]  # equal sizes keep mode order
+        assert results == sizes and list(results) == list(sizes)
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failure_in_mode_order_names_its_mode(self, monkeypatch, cpus):
         cfg = tiny_config()
@@ -213,10 +239,11 @@ class TestTrainModes:
         run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                              timeout=300, cwd=tmp_path)
         assert run.returncode != 0
-        last = run.stderr.strip().splitlines()[-1]
-        assert last.startswith("concurrent.futures.process.BrokenProcessPool: "
-                               "a training worker process died."), run.stderr
-        assert 'without `if __name__ == "__main__":`' in last
+        # Not the last line: the resource tracker may warn of leaked semaphores after it.
+        told = [line for line in run.stderr.splitlines() if line.startswith(
+            "concurrent.futures.process.BrokenProcessPool: a training worker process died.")]
+        assert len(told) == 1, run.stderr
+        assert 'without `if __name__ == "__main__":`' in told[0]
 
     @pytest.mark.parametrize("parent", ["2", None])
     def test_workers_start_with_one_blas_thread(self, monkeypatch, parent):
