@@ -14,8 +14,9 @@ keep their defaults. Exit codes: 0 success, 2 validation failure (a config
 error included: an unknown key, a wrong JSON type or a value out of range,
 each message starting with the file, e.g. ``c.json: model.window: expected
 int, got 'x'``; a path that is missing, of the wrong kind or not readable),
-3 parse failure (any input file that is not valid JSON or not UTF-8, and a manifest
-or a manifest block that is not a JSON object, each named), 4 unexpected runtime failure.
+3 parse failure (any input file that is not valid JSON or not UTF-8, a manifest or a
+manifest block that is not a JSON object, and a manifest with a top-level key other than
+``corpus``, ``modes`` and ``phase1``, each named), 4 unexpected runtime failure.
 """
 
 from __future__ import annotations

@@ -584,10 +584,10 @@ def _amended_from_obj(payload) -> list[AmendedPair]:
 
 # --- stages ------------------------------------------------------------------
 #
-# One function per stage of the experiment; ``run_experiment`` and the CLI
-# commands both call these. Each stage after ingest reads what earlier stages
-# left in the run directory and writes its own files there; ``train``,
-# ``amend`` and ``retrain`` also record theirs in ``manifest.json``.
+# One function per stage; ``run_experiment`` and the CLI commands both call
+# these. Each stage after ingest reads what earlier stages left in the run
+# directory, ``manifest.json`` once on entry, and writes its own files there;
+# ``train``, ``amend`` and ``retrain`` also record theirs in the manifest.
 
 def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: bool = False,
            allow_any_meter: bool = False) -> list[Melody]:
@@ -644,8 +644,8 @@ def train(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     windows = corpus_windows(corpus, cfg)
     params, trace, kept = train_on_examples(windows, cfg)
     entry = _save_mode(run_dir, "orig", params, trace, kept, windows, cfg)
-    (run_dir / MANIFEST).unlink(missing_ok=True)  # later stages' files came from the old orig
-    update_manifest(run_dir, {"corpus": {"pieces": len(corpus)}, "modes": {"orig": entry}})
+    # A fresh manifest: later stages' files came from the old orig.
+    update_manifest(run_dir, {}, {"corpus": {"pieces": len(corpus)}, "modes": {"orig": entry}})
 
 
 def amend_streams(cfg: RunConfig) -> list[tuple[str, frozenset[Rule]]]:
@@ -665,9 +665,11 @@ def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
     Each stream goes into ``amended/<stream>.json``, and its manifest entry
     records the config and seed phrase that made it; with ``rules`` only the
     streams of those single rules run. A stream's random seed depends on the
-    stream alone, so a subset reproduces the streams of a full run.
+    stream alone, so a subset reproduces the streams of a full run. The
+    manifest drops each mode whose retrain read a rewritten stream.
     """
-    params = load_checked_weights(run_dir, "orig", cfg)
+    manifest = read_manifest(run_dir)
+    params = load_checked_weights(run_dir, manifest, "orig", cfg)
     made_by = {"config": config_to_dict(cfg), "seed_phrase": [_note_obj(n) for n in seed_phrase]}
     phase1 = {}
     for index, (stream, stream_rules) in enumerate(amend_streams(cfg)):
@@ -688,7 +690,14 @@ def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
             **made_by,
         }
         log.info("%s: %d of %d notes amended", stream, len(amended), len(filtered))
-    update_manifest(run_dir, {"phase1": phase1})
+    # As train drops what came from the old orig, drop each mode retrained on
+    # a stream rewritten here; mix pooled the rule streams, one of which any
+    # amend rewrites, unless it was trained on its own stream.
+    modes = manifest.get("modes", {})
+    pooled = not _at(modes.get("mix"), "config.generation.mix_conjunction_filter")
+    for mode in [*phase1, "mix"] if pooled and phase1 else phase1:
+        modes.pop(mode, None)
+    update_manifest(run_dir, manifest, {"phase1": phase1})
 
 
 def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
@@ -700,15 +709,15 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     the one the manifest records for ``orig`` is refused, and so is a config
     whose vocabulary or window differs from the one ``orig`` was trained under.
     """
-    _check_recorded_config(run_dir, "orig", cfg, "vocabulary", "model.window")
+    manifest = read_manifest(run_dir)
+    orig = _check_recorded_config(run_dir, manifest, "orig", cfg, "vocabulary", "model.window")
     orig_windows = corpus_windows(corpus, cfg)
-    trained_on = read_manifest(run_dir).get("modes", {}).get("orig", {}).get("dataset_sha256")
-    if trained_on is not None and dataset_fingerprint(orig_windows) != trained_on:
+    if orig.get("dataset_sha256") not in (None, dataset_fingerprint(orig_windows)):
         raise ValueError(f"{run_dir / MANIFEST} records another modes.orig.dataset_sha256; "
                          f"retrain on the corpus that train read")
     datasets = {}
     for stream, _ in amend_streams(cfg):  # every dataset is built, and so checked, first
-        _require_record(run_dir, "phase1", stream)
+        _recorded(run_dir, manifest, "phase1", stream)
         path = run_dir / "amended" / f"{stream}.json"
         amended = load_amended(path)
         with naming(path):
@@ -720,7 +729,7 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     trained = train_modes(datasets, cfg)  # no weights file unless every training succeeds
     modes = {mode: _save_mode(run_dir, mode, *trained[mode], dataset, cfg)
              for mode, dataset in datasets.items()}
-    update_manifest(run_dir, {"modes": modes})
+    update_manifest(run_dir, manifest, {"modes": modes})
 
 
 def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg: RunConfig,
@@ -732,8 +741,7 @@ def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg
     """
     if n < 1:
         raise ValueError(f"number of notes to generate must be >= 1, got {n}")
-    _require_record(run_dir, "modes", mode)
-    params = load_checked_weights(run_dir, mode, cfg)
+    params = load_checked_weights(run_dir, read_manifest(run_dir), mode, cfg)
     rng = network.make_rng(cfg.seeds.public)
     notes = phase2_generate(params, seed_phrase, n, cfg, rng)
     path = out if out is not None else run_dir / "melodies" / f"{mode}.json"
@@ -832,34 +840,33 @@ def read_manifest(run_dir: Path) -> dict:
 
 
 def _manifest_from_obj(payload) -> dict:
-    """``payload``, refused unless it and each block, entry and entry ``config`` are objects."""
-    for block in ("config", "corpus", "modes", "phase1"):  # an older manifest's top-level config
-        _object(_object(payload, "").get(block, {}), block)
+    """``payload``, refused unless its keys are ``corpus``, ``modes``, ``phase1``, all objects."""
+    unknown = sorted(set(_object(payload, "")) - {"corpus", "modes", "phase1"})
+    if unknown:  # e.g. the top-level config of a layout no stage reads
+        raise InputFormatError(f"unknown keys: {', '.join(unknown)}; run train to start anew")
+    for block in ("corpus", "modes", "phase1"):
+        _object(payload.get(block, {}), block)
     for block in ("modes", "phase1"):  # stages read inside each entry
         for key, entry in payload.get(block, {}).items():
             _object(_object(entry, f"{block}.{key}").get("config", {}), f"{block}.{key}.config")
     return payload
 
 
-def _require_record(run_dir: Path, block: str, key: str) -> None:
-    """Refuse a stage input that the run's manifest, when there is one, does not record.
+def _recorded(run_dir: Path, manifest: dict, block: str, key: str) -> dict:
+    """The entry ``manifest`` records at ``block.key``, ``{}`` when there is no manifest.
 
-    ``train`` restarts the manifest, so a file it does not record was left
-    by the stages of an earlier ``orig``.
+    ``train`` restarts the manifest and ``amend`` drops the modes it makes
+    stale, so a file the manifest does not record was left by an earlier
+    stage, and is refused.
     """
-    manifest = read_manifest(run_dir)
     if manifest and key not in manifest.get(block, {}):
         raise ValueError(f"{run_dir / MANIFEST} records no {block}.{key}; run the stage "
                          f"that makes it after the last train")
+    return manifest.get(block, {}).get(key, {})
 
 
-def update_manifest(run_dir: Path, update: dict) -> None:
-    """Add the entries of each ``{block: entries}`` of ``update`` to the run's manifest.
-
-    An entry replaces the one of its key and leaves the block's others; the
-    manifest is written atomically.
-    """
-    manifest = read_manifest(run_dir)
+def update_manifest(run_dir: Path, manifest: dict, update: dict) -> None:
+    """Merge each ``{block: entries}`` of ``update`` into ``manifest``; write it atomically."""
     for block, entries in update.items():
         manifest.setdefault(block, {}).update(entries)
     network.write_atomic(run_dir / MANIFEST, json_text(manifest).encode())
@@ -871,35 +878,41 @@ def _weights_meta(cfg: RunConfig) -> network.WeightsMeta:
                                hidden_size=cfg.hidden_size, window=cfg.window)
 
 
-def load_checked_weights(run_dir: Path, mode: str, cfg: RunConfig) -> network.LstmParams:
-    """``weights/<mode>.wts``, refused unless its dimensions match the config.
+def load_checked_weights(run_dir: Path, manifest: dict, mode: str,
+                         cfg: RunConfig) -> network.LstmParams:
+    """``weights/<mode>.wts``, refused unless ``manifest`` records it and it matches the config.
 
-    Every ``WeightsFormatError``, a malformed file or a mismatch, names the file.
-    The file holds slot counts only, so its recorded config's vocabulary is checked too.
+    The file holds slot counts only, so its recorded config's vocabulary is checked
+    first. Every ``WeightsFormatError``, a malformed file or a mismatch, names the file.
     """
+    _check_recorded_config(run_dir, manifest, mode, cfg, "vocabulary")
     path = run_dir / "weights" / f"{mode}.wts"
     with naming(path):
         params, meta = network.load_weights(path)
         network.check_compatible(meta, **vars(_weights_meta(cfg)))
-    _check_recorded_config(run_dir, mode, cfg, "vocabulary")
     return params
 
 
-def _check_recorded_config(run_dir: Path, mode: str, cfg: RunConfig, *keys: str) -> None:
-    """Refuse ``cfg`` where it differs from the config recorded for ``mode`` at ``keys``.
+def _at(record, key: str):
+    """The value ``record`` holds at the dotted ``key``, ``None`` where it holds none."""
+    for name in key.split("."):
+        record = record.get(name) if isinstance(record, dict) else None
+    return record
+
+
+def _check_recorded_config(run_dir: Path, manifest: dict, mode: str, cfg: RunConfig,
+                           *keys: str) -> dict:
+    """The ``modes.<mode>`` entry, refused where its config differs from ``cfg`` at ``keys``.
 
     A key is a block (``vocabulary``) or a ``block.key`` (``model.window``); a
-    value the manifest does not record is not checked.
+    value the entry does not record is not checked.
     """
-    manifest = read_manifest(run_dir)  # an older manifest holds its config at top level
-    recorded = manifest.get("modes", {}).get(mode, {}).get("config", manifest.get("config", {}))
+    entry, ours = _recorded(run_dir, manifest, "modes", mode), config_to_dict(cfg)
     for key in keys:
-        theirs, ours = recorded, config_to_dict(cfg)
-        for name in key.split("."):
-            theirs, ours = theirs.get(name) if isinstance(theirs, dict) else None, ours[name]
-        if theirs not in (None, ours):
+        if _at(entry, f"config.{key}") not in (None, _at(ours, key)):
             raise ValueError(f"{run_dir / MANIFEST} records another {key}; use the config "
                              f"that train read")
+    return entry
 
 
 def _save_mode(run_dir: Path, mode: str, params: network.LstmParams, trace: list[float],

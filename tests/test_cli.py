@@ -55,23 +55,6 @@ def config_variant(tmp_path: Path, name: str, **blocks) -> Path:
     return path
 
 
-def to_older_layout(run_dir: Path) -> None:
-    """Rewrite the run's manifest as versions whose entries held no config wrote it.
-
-    The config of ``orig`` and the seed phrase of the amend streams move to
-    top-level ``config`` and ``seed_phrase`` keys.
-    """
-    path = run_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["config"] = manifest["modes"]["orig"]["config"]
-    for block in ("modes", "phase1"):
-        for entry in manifest.get(block, {}).values():
-            del entry["config"]
-            if "seed_phrase" in entry:
-                manifest["seed_phrase"] = entry.pop("seed_phrase")
-    path.write_text(pipeline.json_text(manifest))
-
-
 def melody_track(pitches, ticks=240, time_sig=(4, 4), key_sig=None):
     events = [(0, bytes([0xFF, 0x58, 0x04, time_sig[0],
                          {1: 0, 2: 1, 4: 2, 8: 3}[time_sig[1]], 24, 8]))]
@@ -292,6 +275,10 @@ class TestStagedCommands:
         assert manifest["modes"]["orig"]["weights_sha256"]
         retrained = json.loads((run_dir / "manifest.json").read_text())
         assert retrained["modes"]["mix"]["dataset_size"] == orig_windows + len(mix_pairs)
+        # mix read the conjunction stream, not dia's, so a rerun of dia keeps it.
+        assert cli.main(["amend", "--corpus", str(corpus), "--config", str(config),
+                         "--run-dir", str(run_dir), "--rules", "dia"]) == 0
+        assert sorted(pipeline.read_manifest(run_dir)["modes"]) == ["mix", "orig", "spi", "tri"]
 
     def test_amend_rule_subset_reproduces_its_streams(self, tmp_path, caplog):
         config = tiny_config_file(tmp_path)
@@ -325,7 +312,8 @@ class TestStagedCommands:
         assert sorted(manifest) == ["corpus", "modes"]
         assert list(manifest["modes"]) == ["orig"]
 
-    def test_each_entry_records_the_config_and_seed_phrase_that_made_its_file(self, tmp_path):
+    def test_each_entry_records_the_config_and_seed_phrase_that_made_its_file(self, tmp_path,
+                                                                              caplog):
         corpus, run_dir = write_corpus(tmp_path), tmp_path / "run"
         configs = {
             "tiny": tiny_config_file(tmp_path),
@@ -351,7 +339,9 @@ class TestStagedCommands:
         manifest = pipeline.read_manifest(run_dir)
         assert sorted(manifest) == ["corpus", "modes", "phase1"]
         assert manifest["modes"]["orig"]["config"] == recorded["tiny"]
-        for mode in ("dia", "spi", "tri", "mix"):
+        # dia and mix were retrained on the dia stream that the last amend rewrote.
+        assert sorted(manifest["modes"]) == ["orig", "spi", "tri"]
+        for mode in ("spi", "tri"):
             assert manifest["modes"][mode]["config"] == recorded["longer"], mode
         default = pipeline.default_seed_phrase(pipeline.load_corpus(corpus),
                                                cli.load_config(str(configs["tiny"])))
@@ -362,6 +352,11 @@ class TestStagedCommands:
             assert entry["config"] == recorded[config], stream
             assert entry["seed_phrase"] == [[n.pitch, n.duration] for n in seed_phrase], stream
             assert entry["generated"] == generated, stream
+        code = cli.main(["generate", "--config", str(configs["tiny"]), "--run-dir", str(run_dir),
+                         "--mode", "dia", "-n", "10", "--seed-phrase", phrase])
+        assert code == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage().startswith(
+            f"{run_dir / 'manifest.json'} records no modes.dia; ")
 
     def test_retrain_refuses_the_amended_pairs_of_an_earlier_orig(self, tmp_path, caplog):
         (tmp_path / "other").mkdir()
@@ -420,38 +415,50 @@ class TestStagedCommands:
             f"use the config that train read")
         assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "weights"]
 
-    @pytest.mark.parametrize("command", ["generate", "amend"])
-    def test_an_older_manifest_keeps_the_vocabulary_refusal(self, tmp_path, caplog, command):
-        config, run_dir = tiny_config_file(tmp_path), tmp_path / "run"
-        assert cli.main(["train", "--corpus", str(write_corpus(tmp_path)),
-                         "--config", str(config), "--run-dir", str(run_dir)]) == 0
-        to_older_layout(run_dir)
-        shifted = config_variant(tmp_path, "shifted", vocabulary={"pitch_lo": 67, "pitch_hi": 91})
-        extra = ["--mode", "orig", "-n", "20"] if command == "generate" else []
-        common = ["--run-dir", str(run_dir), *extra]
-        code = cli.main([command, "--config", str(shifted), *common,
-                         "--seed-phrase", "67:4,69:4,71:4,72:4,74:4,76:4,77:4"])
-        assert code == cli.EXIT_VALIDATION
-        assert caplog.records[-1].getMessage() == (
-            f"{run_dir / 'manifest.json'} records another vocabulary; "
-            f"use the config that train read")
-        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "weights"]
-        assert cli.main([command, "--config", str(config), *common,
-                         "--seed-phrase", "60:4,62:4,64:4,65:4,67:4,69:4,71:4"]) == 0
+    @pytest.mark.parametrize("command, older", [
+        ("amend", True), ("retrain", True), ("generate", True), ("generate", False),
+    ], ids=["amend", "retrain", "generate", "config-list"])
+    def test_an_older_manifest_is_refused(self, tmp_path, caplog, command, older):
+        run_dir = tmp_path / "run"
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
+        for stage in ("train", "amend"):
+            assert cli.main([stage, *common]) == 0
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if older:  # as versions whose entries held no config wrote it
+            manifest["config"] = manifest["modes"]["orig"]["config"]
+            manifest["seed_phrase"] = manifest["phase1"]["dia"]["seed_phrase"]
+            for entry in [*manifest["modes"].values(), *manifest["phase1"].values()]:
+                del entry["config"]
+                entry.pop("seed_phrase", None)
+        else:
+            manifest["config"] = [1]
+        path.write_text(pipeline.json_text(manifest))
 
-    @pytest.mark.parametrize("layout", ["entries", "older"])
+        def files() -> dict[Path, bytes]:
+            return {p: p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+        before = files()
+        extra = ["--mode", "orig", "-n", "5"] if command == "generate" else []
+        assert cli.main([command, *common, *extra]) == cli.EXIT_PARSE
+        keys = "config, seed_phrase" if older else "config"
+        assert caplog.records[-1].getMessage() == (
+            f"{path}: unknown keys: {keys}; run train to start anew")
+        assert files() == before
+        assert cli.main(["train", *common]) == 0
+        assert sorted(pipeline.read_manifest(run_dir)) == ["corpus", "modes"]
+
     @pytest.mark.parametrize("change, key", [
         ({"model": {"window": 6}}, "model.window"),
         ({"vocabulary": {"pitch_lo": 54}}, "vocabulary"),
     ], ids=["window", "pitch-lo"])
     def test_retrain_names_the_config_key_that_differs_from_orig(self, tmp_path, caplog,
-                                                                  change, key, layout):
+                                                                  change, key):
         run_dir = tmp_path / "run"
         common = ["--corpus", str(write_corpus(tmp_path)), "--run-dir", str(run_dir)]
         for command in ("train", "amend"):
             assert cli.main([command, *common, "--config", str(tiny_config_file(tmp_path))]) == 0
-        if layout == "older":
-            to_older_layout(run_dir)
         other = config_variant(tmp_path, "other", **change)
         assert cli.main(["retrain", *common, "--config", str(other)]) == cli.EXIT_VALIDATION
         assert caplog.records[-1].getMessage() == (
@@ -742,8 +749,7 @@ class TestConfigHandling:
         ("phase1", 5, "retrain"),
         ("phase1", ["dia", "spi", "tri"], "retrain"),
         ("modes", 5, "generate"),
-        ("config", [1], "generate"),
-    ], ids=["corpus-str", "phase1-int", "phase1-list", "modes-int", "config-list"])
+    ], ids=["corpus-str", "phase1-int", "phase1-list", "modes-int"])
     def test_malformed_manifest_block_is_named_parse_error(self, tmp_path, caplog, block,
                                                            value, command):
         run_dir = tmp_path / "run"

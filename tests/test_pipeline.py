@@ -510,15 +510,35 @@ class TestGenerationMatchesOneShotLoop:
 
 
 @pytest.fixture(scope="module")
-def run(tmp_path_factory):
+def manifest_readers():
+    """The caller of each ``read_manifest`` call that the ``run`` fixture's experiment made."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory, manifest_readers):
     cfg = tiny_config()
     corpus = tiny_corpus(cfg)
     out_dir = tmp_path_factory.mktemp("run")
-    manifest = pipeline.run_experiment(corpus, cfg, out_dir)
+    read_manifest = pipeline.read_manifest
+
+    def recording(run_dir):
+        manifest_readers.append(sys._getframe(1).f_code.co_name)
+        return read_manifest(run_dir)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "read_manifest", recording)
+        manifest = pipeline.run_experiment(corpus, cfg, out_dir)
     return cfg, corpus, out_dir, manifest
 
 
 class TestRunExperiment:
+    def test_each_stage_reads_the_manifest_once(self, run, manifest_readers):
+        # train starts the manifest afresh; every later stage reads it on
+        # entry and hands that dict to its checks and its write.
+        assert manifest_readers == ["amend", "retrain", *["generate"] * len(pipeline.MODES),
+                                    "run_experiment"]
+
     def test_writes_five_weight_sets(self, run):
         _, _, out_dir, manifest = run
         assert sorted(manifest["modes"]) == ["dia", "mix", "orig", "spi", "tri"]
