@@ -26,7 +26,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import grammar, midi, pipeline
+from . import grammar, midi, network, pipeline
 from .notes import Key, Melody, NoteEvent
 
 log = logging.getLogger("melogram")
@@ -48,11 +48,9 @@ def parse_seed_phrase(text: str) -> list[NoteEvent]:
     """Parse a seed phrase written as ``pitch:duration`` pairs, e.g. ``60:4,64:2``."""
     notes = []
     for chunk in text.split(","):
-        try:
+        with pipeline.naming(f"bad seed note {chunk!r}"):
             pitch, duration = chunk.strip().split(":")
             notes.append(NoteEvent(int(pitch), int(duration)))
-        except ValueError as exc:
-            raise ValueError(f"bad seed note {chunk!r}: {exc}") from None
     return notes
 
 
@@ -102,14 +100,14 @@ def cmd_generate(args, cfg: pipeline.RunConfig) -> None:
 def cmd_evaluate(args, cfg: pipeline.RunConfig) -> None:
     corpus = pipeline.load_corpus(Path(args.corpus)) if args.corpus else None
     out = Path(args.out) if args.out else None
-    sys.stdout.write(pipeline.evaluate(args.melodies, corpus, out, corpus_name=args.corpus))
+    sys.stdout.write(pipeline.evaluate(args.melodies, corpus, out))
 
 
 def cmd_export(args, cfg: pipeline.RunConfig) -> None:
     notes = pipeline.load_melody(Path(args.melody))
     with pipeline.naming(args.melody):
         data = midi.write_midi(Melody(notes=notes))
-    Path(args.out).write_bytes(data)
+    network.write_atomic(Path(args.out), data)
     log.info("wrote %d bytes to %s", len(data), args.out)
 
 
@@ -118,7 +116,7 @@ def cmd_run_all(args, cfg: pipeline.RunConfig) -> None:
     manifest = pipeline.run_experiment(
         corpus, cfg, Path(args.run_dir),
         seed_phrase=None if args.seed_phrase is None else parse_seed_phrase(args.seed_phrase),
-        export_midi=not args.no_midi, corpus_name=args.corpus,
+        export_midi=not args.no_midi,
     )
     sys.stdout.write((Path(args.run_dir) / "report.txt").read_text())
     log.info("run complete: %d modes, manifest at %s/manifest.json",
@@ -127,7 +125,7 @@ def cmd_run_all(args, cfg: pipeline.RunConfig) -> None:
 
 def cmd_init_config(args, cfg: pipeline.RunConfig) -> None:
     defaults = pipeline.config_to_dict(pipeline.RunConfig())
-    Path(args.out).write_text(pipeline.json_text(defaults))
+    pipeline.save_json(Path(args.out), defaults)
     log.info("wrote default config to %s", args.out)
 
 

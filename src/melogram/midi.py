@@ -223,9 +223,7 @@ def monophonic_spans(spans: list[tuple[int, int, int]]) -> list[tuple[int, int, 
         if surviving and onset < surviving[-1][1]:
             last = surviving[-1]
             if pitch > last[2]:
-                last[1] = onset  # truncate the lower note at the higher onset
-                if last[1] <= last[0]:
-                    surviving.pop()
+                last[1] = onset  # truncate the lower note at the higher, later onset
                 surviving.append([onset, offset, pitch])
             # else: a lower or equal note under a sounding note is dropped
         else:

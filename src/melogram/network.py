@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -456,8 +457,13 @@ def write_atomic(path, data: bytes) -> None:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
+    except OSError as exc:  # named by ``path``, as a direct write to it would be
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     finally:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # gone once replaced, never made where no directory is
+            tmp.unlink()
 
 
 def _tensor_header(name: str, shape: tuple[int, ...]) -> bytes:

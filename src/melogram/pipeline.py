@@ -154,10 +154,8 @@ def config_from_dict(data: dict) -> RunConfig:
         merged[block] = {**defaults[block], **given}
 
     given_vocab = merged.pop("vocabulary")
-    try:
+    with naming("vocabulary"):
         vocab = NoteVocabulary(**{**given_vocab, "durations": tuple(given_vocab["durations"])})
-    except ValueError as exc:
-        raise ValueError(f"vocabulary: {exc}") from None
     return RunConfig(
         vocab=vocab,
         seeds=Seeds(**merged.pop("seeds")),
@@ -410,10 +408,8 @@ def build_augmented_dataset(
             raise ValueError(f"[{i}].context: expected {cfg.window} notes, "
                              f"got {len(pair.context)}")
         for where, note in zip(places, (*pair.context, pair.note)):
-            try:
+            with naming(f"[{i}].{where}"):
                 slots.append(note_indices(note, cfg.vocab))
-            except EncodingError as exc:
-                raise EncodingError(f"[{i}].{where}: {exc}") from None
     return np.concatenate(
         (orig_windows, np.array(slots, dtype=np.int16).reshape(-1, cfg.window + 1, 2))
     )
@@ -428,9 +424,10 @@ def dataset_fingerprint(windows: np.ndarray) -> str:
 
 # --- corpus / melody / amendment file schemas (JSON) -----------------------
 
-def json_text(payload, indent: int | None = 2) -> str:
-    """The text every JSON file of the program holds: sorted keys, one final newline."""
-    return json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+def save_json(path: Path, payload, indent: int | None = 2) -> None:
+    """Write ``payload`` to ``path``, the one JSON writer: sorted keys, one final newline."""
+    text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+    network.write_atomic(path, text.encode())
 
 
 def melody_to_obj(melody: Melody) -> dict:
@@ -528,8 +525,7 @@ def melody_from_obj(obj: dict, where: str = "") -> Melody:
 
 
 def save_corpus(path: Path, corpus: list[Melody]) -> None:
-    payload = {"pieces": [melody_to_obj(m) for m in corpus]}
-    Path(path).write_text(json_text(payload))
+    save_json(path, {"pieces": [melody_to_obj(m) for m in corpus]})
 
 
 def load_corpus(path: Path) -> list[Melody]:
@@ -540,7 +536,7 @@ def load_corpus(path: Path) -> list[Melody]:
 
 
 def save_melody(path: Path, notes: list[NoteEvent]) -> None:
-    Path(path).write_text(json_text(melody_to_obj(Melody(notes=list(notes))), indent=None))
+    save_json(path, melody_to_obj(Melody(notes=list(notes))), indent=None)
 
 
 def load_melody(path: Path) -> list[NoteEvent]:
@@ -556,7 +552,7 @@ def save_amended(path: Path, amended: list[AmendedPair]) -> None:
         }
         for pair in amended
     ]
-    Path(path).write_text(json_text(payload, indent=None))
+    save_json(path, payload, indent=None)
 
 
 def load_amended(path: Path) -> list[AmendedPair]:
@@ -749,26 +745,29 @@ def generate(run_dir: Path, mode: str, seed_phrase: list[NoteEvent], n: int, cfg
     save_melody(path, notes)
     log.info("wrote %d notes to %s", len(notes), path)
     if midi_out is not None:
-        midi_out.write_bytes(midi.write_midi(Melody(notes=notes)))
+        network.write_atomic(midi_out, midi.write_midi(Melody(notes=notes)))
     return notes
 
 
 def evaluate(melodies: list[Path | str], corpus: list[Melody] | None = None,
-             out_dir: Path | None = None, corpus_name: str = "corpus") -> str:
+             out_dir: Path | None = None) -> str:
     """The metric report, a ``DS`` column for ``corpus`` and one per melody file; returns its table.
 
     A file's column is the ``metrics.MODE_COLUMNS`` entry of its stem, else
     the stem; two files for one column are refused. Every error names its
-    file, the corpus's as ``corpus_name``. With ``out_dir`` the report goes to
-    ``report.json`` and ``report.txt`` there.
+    file; one of the ``DS`` column is a ``CorpusError``. With ``out_dir`` the
+    report goes to ``report.json`` and ``report.txt`` there.
     """
     reports, sources = {}, {}  # report column -> its metrics, and the file behind them
     if corpus is not None:
-        with naming(corpus_name):
+        try:
             reports["DS"] = metrics.evaluate_many([m.notes for m in corpus])
-        sources["DS"] = corpus_name
+        except ValueError as exc:
+            raise CorpusError(str(exc)) from None
     for path in map(Path, melodies):
         label = metrics.MODE_COLUMNS.get(path.stem, path.stem)
+        if label == "DS" and corpus is not None:
+            raise CorpusError(f"{path} maps to report column 'DS', the corpus's")
         if label in sources:
             raise ValueError(f"{sources[label]} and {path} both map to report column {label!r}")
         sources[label] = path
@@ -778,8 +777,9 @@ def evaluate(melodies: list[Path | str], corpus: list[Melody] | None = None,
     table = metrics.report_table(reports)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(metrics.report_to_json(reports) + "\n")
-        (out_dir / "report.txt").write_text(table)
+        report = metrics.report_to_json(reports) + "\n"
+        network.write_atomic(out_dir / "report.json", report.encode())
+        network.write_atomic(out_dir / "report.txt", table.encode())
     return table
 
 
@@ -805,17 +805,15 @@ def run_experiment(
     out_dir: Path,
     seed_phrase: list[NoteEvent] | None = None,
     export_midi: bool = True,
-    corpus_name: str = "corpus",
 ) -> dict:
     """Run the whole five-mode experiment into a run directory.
 
     Writes weight files, amended-pair files, generated melodies, the metric
     report and a manifest tying them together, and returns the manifest.
-    Fully determined by the corpus, the config and its seeds. Errors name
-    the corpus as ``corpus_name``.
+    Fully determined by the corpus, the config and its seeds.
     """
     out_dir = Path(out_dir)
-    evaluate([], corpus, corpus_name=corpus_name)  # a corpus the report refuses trains nothing
+    evaluate([], corpus)  # a corpus the report refuses trains nothing
     if seed_phrase is None:
         seed_phrase = default_seed_phrase(corpus, cfg)
     _check_seed_phrase(seed_phrase, cfg)
@@ -826,8 +824,7 @@ def run_experiment(
     for mode in MODES:
         midi_out = out_dir / "melodies" / f"{mode}.mid" if export_midi else None
         generate(out_dir, mode, seed_phrase, cfg.phase2_notes, cfg, midi_out=midi_out)
-    evaluate([out_dir / "melodies" / f"{mode}.json" for mode in MODES], corpus, out_dir,
-             corpus_name=corpus_name)
+    evaluate([out_dir / "melodies" / f"{mode}.json" for mode in MODES], corpus, out_dir)
     return read_manifest(out_dir)
 
 
@@ -869,7 +866,7 @@ def update_manifest(run_dir: Path, manifest: dict, update: dict) -> None:
     """Merge each ``{block: entries}`` of ``update`` into ``manifest``; write it atomically."""
     for block, entries in update.items():
         manifest.setdefault(block, {}).update(entries)
-    network.write_atomic(run_dir / MANIFEST, json_text(manifest).encode())
+    save_json(run_dir / MANIFEST, manifest)
 
 
 def _weights_meta(cfg: RunConfig) -> network.WeightsMeta:

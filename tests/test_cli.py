@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from melogram import cli, pipeline
+from melogram import cli, network, pipeline
 from melogram.encoding import NoteVocabulary
 from melogram.midi import extract_melody, parse_midi, quantize_durations
 from melogram.notes import Key, Melody, NoteEvent
@@ -158,6 +158,41 @@ class TestIngest:
         code = cli.main(["ingest", str(midi_dir), "--out", str(tmp_path / "c.json")])
         assert code == cli.EXIT_VALIDATION
 
+    def test_pitches_out_of_range_fold_by_octaves_with_a_warning(self, tmp_path, caplog):
+        midi_dir = tmp_path / "midi"
+        midi_dir.mkdir()
+        # 100 and 30 lie outside the default 36..94; 88 and 42 are their octaves inside.
+        (midi_dir / "wide.mid").write_bytes(
+            smf(melody_track([60, 100, 62, 30, 64, 65, 67, 69], key_sig=(0, 0))))
+        out = tmp_path / "corpus.json"
+        assert cli.main(["ingest", str(midi_dir), "--out", str(out)]) == 0
+        pitches = [n.pitch for n in pipeline.load_corpus(out)[0].notes]
+        assert pitches == [60, 88, 62, 42, 64, 65, 67, 69]
+        assert "wide.mid: folded 2 notes into the vocabulary range by octaves" in caplog.text
+
+    def test_file_without_time_signature_is_taken_as_four_four(self, tmp_path, caplog):
+        midi_dir = tmp_path / "midi"
+        midi_dir.mkdir()
+        track = melody_track([60, 62, 64, 65, 67, 69, 71, 72], key_sig=(0, 0))
+        assert track[0][1][:2] == b"\xff\x58"  # the time signature, left out below
+        (midi_dir / "plain.mid").write_bytes(smf(track[1:]))
+        out = tmp_path / "corpus.json"
+        assert cli.main(["ingest", str(midi_dir), "--out", str(out)]) == 0
+        assert len(pipeline.load_corpus(out)[0].notes) == 8
+        assert "rejected" not in caplog.text
+
+    def test_piece_of_zero_length_notes_is_skipped_and_named(self, tmp_path, caplog):
+        midi_dir = tmp_path / "midi"
+        midi_dir.mkdir()
+        (midi_dir / "good.mid").write_bytes(
+            smf(melody_track([60, 62, 64, 65, 67, 69, 71, 72], key_sig=(0, 0))))
+        (midi_dir / "zero.mid").write_bytes(
+            smf(melody_track([60, 62, 64], ticks=0, key_sig=(0, 0))))
+        out = tmp_path / "corpus.json"
+        assert cli.main(["ingest", str(midi_dir), "--out", str(out)]) == 0
+        assert len(pipeline.load_corpus(out)) == 1
+        assert "rejected zero.mid: all note events had zero length" in caplog.text
+
 
 class TestStagedCommands:
     def test_train_amend_retrain_generate_evaluate(self, tmp_path):
@@ -216,8 +251,11 @@ class TestStagedCommands:
         code = cli.main(["evaluate", *map(str, paths), "--corpus", str(corpus),
                          "--out", str(tmp_path / "report")])
         assert code == cli.EXIT_VALIDATION
-        first = corpus if len(paths) == 1 else paths[0]
-        assert f"{first} and {paths[-1]} both map to report column" in caplog.text
+        if len(paths) == 1:  # led by the corpus, as every corpus error is
+            expected = f"{corpus}: {paths[0]} maps to report column 'DS', the corpus's"
+        else:
+            expected = f"{paths[0]} and {paths[1]} both map to report column 'MIX'"
+        assert caplog.records[-1].getMessage() == expected
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("short", ["melody", "corpus"])
@@ -434,7 +472,7 @@ class TestStagedCommands:
                 entry.pop("seed_phrase", None)
         else:
             manifest["config"] = [1]
-        path.write_text(pipeline.json_text(manifest))
+        pipeline.save_json(path, manifest)
 
         def files() -> dict[Path, bytes]:
             return {p: p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
@@ -588,6 +626,43 @@ class TestStagedMatchesRunAll:
         assert staged_files["manifest.json"] == whole_files["manifest.json"]
 
 
+class TestAtomicWrites:
+    def test_every_file_written_passes_through_write_atomic(self, tmp_path, monkeypatch):
+        written = []
+        real = network.write_atomic
+
+        def recording(path, data):
+            written.append(Path(path))
+            real(path, data)
+
+        corpus, config = write_corpus(tmp_path), tiny_config_file(tmp_path)
+        midi_dir, out = tmp_path / "midi", tmp_path / "out"
+        midi_dir.mkdir()
+        out.mkdir()
+        (midi_dir / "a.mid").write_bytes(smf(melody_track([60, 62, 64, 65, 67, 69, 71, 72],
+                                                           key_sig=(0, 0))))
+        common = ["--corpus", str(corpus), "--config", str(config)]
+        staged = out / "staged"
+        melodies = [str(staged / "melodies" / f"{mode}.json") for mode in pipeline.MODES]
+        argvs = [["run-all", *common, "--run-dir", str(out / "whole")],
+                 *[[stage, *common, "--run-dir", str(staged)]
+                   for stage in ("train", "amend", "retrain")],
+                 *[["generate", *common, "--run-dir", str(staged), "--mode", mode, "-n", "10",
+                    "--midi-out", str(staged / "melodies" / f"{mode}.mid")]
+                   for mode in pipeline.MODES],
+                 ["evaluate", *melodies, "--corpus", str(corpus), "--out", str(staged)],
+                 ["export", melodies[0], "--out", str(out / "orig.mid")],
+                 ["init-config", "--out", str(out / "defaults.json")],
+                 ["ingest", str(midi_dir), "--out", str(out / "ingested.json"),
+                  "--key", "C:major"]]
+        monkeypatch.setattr(network, "write_atomic", recording)
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        assert len(files) == 2 * 21 + 3  # a run directory holds 21 files
+        assert files == sorted(set(written))  # no temporary file is left either
+
+
 class TestExport:
     def test_export_round_trips_through_own_parser(self, tmp_path):
         notes = [NoteEvent(60 + i, 4) for i in range(8)]
@@ -602,6 +677,21 @@ class TestExport:
         )
         assert melody.notes == notes
 
+
+    @pytest.mark.parametrize("out, error", [
+        ("missing/out.mid", "[Errno 2] No such file or directory"),
+        ("melody.json/out.mid", "[Errno 20] Not a directory"),
+        ("run", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "file-as-dir", "dir"])
+    def test_unwritable_out_is_named_as_given(self, tmp_path, caplog, out, error):
+        melody_path = tmp_path / "melody.json"
+        pipeline.save_melody(melody_path, [NoteEvent(60 + i, 4) for i in range(8)])
+        (tmp_path / "run").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main(["export", str(melody_path), "--out", str(tmp_path / out)])
+        assert code == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == f"{error}: '{tmp_path / out}'"
+        assert sorted(tmp_path.rglob("*")) == before  # no temporary file is left
 
     def test_empty_melody_is_named(self, tmp_path, caplog):
         melody_path = tmp_path / "empty.json"
@@ -789,6 +879,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("text, field", [
         ('{"piece": []}', "missing field 'pieces'"),
         ('{"pieces": [{"notes": 5}]}', "pieces[0].notes"),
+        ('{"pieces": [{"notes": [], "source_key": {"tonic": 12, "mode": "major"}}]}',
+         "pieces[0].source_key: tonic must be a pitch class 0-11, got 12"),
     ])
     def test_corpus_schema_error_is_parse_error(self, tmp_path, caplog, text, field):
         corpus = tmp_path / "corpus.json"
@@ -943,6 +1035,16 @@ class TestConfigHandling:
         assert cli.main(["retrain", *common]) == cli.EXIT_VALIDATION
         assert caplog.records[-1].getMessage() == f"{path}: [0].context: expected 7 notes, got 3"
         assert not (tmp_path / "run" / "weights" / "dia.wts").exists()
+
+    def test_unexpected_failure_exits_4_and_says_so(self, tmp_path, caplog, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("no such luck")
+
+        monkeypatch.setattr(pipeline, "train", fail)
+        code = cli.main(["train", "--corpus", str(write_corpus(tmp_path)),
+                         "--run-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_RUNTIME
+        assert caplog.records[-1].getMessage() == "unexpected failure: no such luck"
 
     def test_malformed_midi_is_parse_error(self, tmp_path):
         midi_dir = tmp_path / "midi"

@@ -66,6 +66,29 @@ class TestNoteVocabulary:
         with pytest.raises(ValueError, match=">= 1"):
             NoteVocabulary(durations=(0, 1, 2))
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"pitch_lo": -1}, r"pitch bounds -1\.\.94 must lie in 0\.\.127"),
+        ({"pitch_hi": 128}, r"pitch bounds 36\.\.128 must lie in 0\.\.127"),
+        ({"pitch_lo": 80, "pitch_hi": 70}, r"pitch bounds 80\.\.70 must lie in 0\.\.127"),
+        ({"durations": ()}, "duration table must be non-empty"),
+    ], ids=["lo-negative", "hi-past-127", "lo-above-hi", "no-durations"])
+    def test_rejects_bounds_outside_midi_and_an_empty_duration_table(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            NoteVocabulary(**fields)
+
+    def test_contains_exactly_the_notes_it_encodes(self):
+        vocab = NoteVocabulary(pitch_lo=55, pitch_hi=79, durations=(1, 2, 4, 8))
+        for pitch in range(128):
+            for duration in range(1, 10):
+                note = NoteEvent(pitch, duration)
+                inside = 55 <= pitch <= 79 and duration in (1, 2, 4, 8)
+                assert vocab.contains(note) is inside, note
+                if inside:
+                    note_indices(note, vocab)
+                else:
+                    with pytest.raises(EncodingError):
+                        note_indices(note, vocab)
+
 
 class TestEncodeDecode:
     def test_a5_quarter_note_slots(self):
@@ -115,6 +138,11 @@ class TestEncodeDecode:
 
 
 class TestSplitDistribution:
+    @pytest.mark.parametrize("size", [VOCAB.dim - 1, VOCAB.dim + 1])
+    def test_refuses_a_vector_of_the_wrong_length(self, size):
+        with pytest.raises(EncodingError, match=f"expected vector of length {VOCAB.dim}"):
+            split_distribution(np.zeros(size), VOCAB)
+
     def test_zeros_give_uniform_segments(self):
         pitch, dur = split_distribution(np.zeros(VOCAB.dim), VOCAB)
         assert np.allclose(pitch, 1.0 / 59)
@@ -225,6 +253,10 @@ class TestMakeTrainingWindows:
             assert (yp[i], yd[i]) == expected_target
             for j in range(7):
                 assert decode(dense[i, j]) == melody.notes[i + j]
+
+    def test_window_zero_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+            make_training_windows(self._melody(8), 0, VOCAB)
 
     def test_window_boundary_yields_nothing(self):
         windows = make_training_windows(self._melody(7), 7, VOCAB)

@@ -290,6 +290,11 @@ class TestConstrainedSample:
         # Relaxed window: candidate forms a triad subset with the last note alone.
         assert conforms_tri(history[-1:], note)
 
+    def test_cap_zero_rejected(self):
+        with pytest.raises(ValueError, match="resample cap must be >= 1, got 0"):
+            constrained_sample(_uniform(VOCAB.pitch_count), _uniform(VOCAB.duration_count), [],
+                               frozenset({Rule.DIA}), VOCAB, np.random.default_rng(0), cap=0)
+
     def test_progress_bound(self):
         rng = np.random.default_rng(5)
         for cap in (1, 3, 100):

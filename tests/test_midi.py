@@ -115,6 +115,24 @@ class TestParseMidi:
         ons = [ev.pitch for ev in parsed.events if ev.kind == NOTE_ON]
         assert ons == [60, 62]
 
+    def test_sysex_is_skipped_and_cancels_running_status(self):
+        sysex = bytes([0xF0, 3, 0x7E, 0x7F, 0xF7])  # status, length, data ending in F7
+        parsed = parse_midi(smf([(0, on(60)), (0, sysex), (120, off(60))]))
+        assert [(ev.tick, ev.kind, ev.pitch) for ev in parsed.events] == [
+            (0, NOTE_ON, 60), (120, NOTE_OFF, 60)]
+        with pytest.raises(MidiParseError, match="data byte with no running status"):
+            parse_midi(smf([(0, on(60)), (0, sysex), (120, bytes([60, 0]))]))
+
+    def test_delta_time_longer_than_four_bytes_rejected(self):
+        # The second event's delta time runs on into a fifth byte.
+        data = smf([(0, on(60) + bytes([0x81, 0x80, 0x80, 0x80, 0x00]) + off(60))])
+        with pytest.raises(MidiParseError, match="longer than 4 bytes"):
+            parse_midi(data)
+
+    def test_division_zero_rejected(self):
+        with pytest.raises(MidiParseError, match="division must be positive"):
+            parse_midi(smf([(0, on(60)), (480, off(60))], division=0))
+
     def test_absolute_ticks_accumulate(self):
         parsed = parse_midi(smf([(10, on(60)), (20, off(60)), (30, on(62)), (5, off(62))]))
         ticks = [ev.tick for ev in parsed.events]
@@ -204,6 +222,11 @@ class TestExtractMelody:
     def test_no_notes_is_error(self):
         with pytest.raises(EmptyMelodyError):
             extract_melody([RawTrackEvent(0, KEY_SIGNATURE, payload=b"\x00\x00")])
+
+    def test_only_zero_length_notes_is_error(self):
+        with pytest.raises(EmptyMelodyError, match="all note events had zero length"):
+            extract_melody([note(0, NOTE_ON, 60), note(0, NOTE_OFF, 60),
+                            note(5, NOTE_ON, 62), note(5, NOTE_OFF, 62)])
 
     def test_output_never_overlaps(self):
         rng = np.random.default_rng(11)

@@ -163,6 +163,11 @@ class TestInitParams:
         assert block(params.b, "f").tolist() == [1.0] * H
         assert np.all(params.b[: 2 * H] == 0.0) and np.all(params.b[3 * H :] == 0.0)
 
+    @pytest.mark.parametrize("sizes", [(0, 4), (6, 0)], ids=["input-0", "hidden-0"])
+    def test_refuses_a_size_of_zero(self, sizes):
+        with pytest.raises(ValueError, match="input and hidden sizes must be >= 1"):
+            init_params(*sizes, make_rng(0))
+
     def test_deterministic_for_seed(self):
         a = init_params(10, 5, make_rng(7))
         b = init_params(10, 5, make_rng(7))
@@ -501,6 +506,13 @@ class TestBatchGradients:
             oracle = finite_difference_grads(params, X, yp, yd, P)
             assert max_relative_error(grads, oracle) <= 1e-4
 
+    def test_refuses_contexts_that_are_not_3d(self):
+        params = init_params(6, 4, make_rng(0))
+        targets = np.zeros(7, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"contexts must be \(batch, steps, features\), "
+                                             r"got \(7, 6\)"):
+            batch_gradients(params, np.zeros((7, 6)), targets, targets, 3)
+
     def test_zero_output_matrix_kills_recurrent_grads(self):
         rng = make_rng(3)
         params = init_params(6, 3, rng)
@@ -649,6 +661,17 @@ class TestFit:
         with pytest.raises(ValueError, match="plateau_threshold must be finite and >= 0"):
             fit(params, X, yp, yd, 8, epochs=5, batch_size=8, rng=make_rng(3),
                 **{**TRAINING, "plateau_threshold": threshold})
+
+    @pytest.mark.parametrize("n, batch_size, match", [
+        (0, 8, "training set is empty"),
+        (40, 0, "batch_size must be >= 1"),
+    ], ids=["empty-set", "batch-size-0"])
+    def test_refuses_an_empty_set_and_batch_size_0(self, n, batch_size, match):
+        rng = make_rng(2)
+        X, yp, yd = self._toy_data(rng, n=n)
+        with pytest.raises(ValueError, match=match):
+            fit(init_params(12, 6, rng), X, yp, yd, 8, epochs=5, batch_size=batch_size,
+                rng=make_rng(3), **TRAINING)
 
     def test_same_seed_gives_identical_traces(self):
         rng = make_rng(5)
@@ -824,6 +847,13 @@ class TestWeightsFile:
             save_weights(path, init_params(17, 5, make_rng(13)), meta)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.wts"]
+
+    def test_dimensions_that_overflow_the_format_refused(self, tmp_path):
+        # 4H = 2**33 does not fit the uint32 shape field of a tensor header.
+        path = tmp_path / "huge.wts"
+        path.write_bytes(nw.WEIGHTS_MAGIC + struct.pack("<6I", 2, 59, 30, 2**31, 7, 5))
+        with pytest.raises(WeightsFormatError, match="P=59 D=30 H=2147483648 overflow the format"):
+            load_weights(path)
 
     def test_version_1_file_refused_by_name(self, tmp_path, caplog):
         # Magic, version 1, dimensions P D H window, then the 14 per-gate tensors.

@@ -36,6 +36,10 @@ class TestKey:
         with pytest.raises(ValueError):
             Key.parse("D:dorian")
 
+    def test_tonic_outside_the_pitch_classes_rejected(self):
+        with pytest.raises(ValueError, match="tonic must be a pitch class 0-11, got 12"):
+            Key(12, "major")
+
     def test_name(self):
         assert Key(9, "minor").name == "A minor"
 
@@ -54,3 +58,9 @@ class TestEstimateKey:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_key(Melody(notes=[]))
+
+    def test_flat_histogram_ties_to_c_major(self):
+        # Every class weighs the same, so every profile correlates 0 and the
+        # tie goes to the lowest tonic, major first.
+        notes = [NoteEvent(60 + k, 4) for k in range(12)]
+        assert estimate_key(Melody(notes=notes)) == Key(0, "major")
