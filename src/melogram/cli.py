@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("midi_dir")
     p.add_argument("--out", required=True, help="corpus JSON to write")
     p.add_argument("--config", help="config file (vocabulary block is used)")
-    p.add_argument("--key", help="key override like D:major when files lack one")
+    p.add_argument("--key", help="key like D:major for files without a key signature")
     p.add_argument("--detect-key", action="store_true",
                    help="estimate missing keys from the pitch-class histogram")
     p.add_argument("--allow-any-meter", action="store_true",

@@ -581,19 +581,33 @@ def _amended_from_obj(payload) -> list[AmendedPair]:
 # --- stages ------------------------------------------------------------------
 #
 # One function per stage; ``run_experiment`` and the CLI commands both call
-# these. Each stage after ingest reads what earlier stages left in the run
-# directory, ``manifest.json`` once on entry, and writes its own files there;
-# ``train``, ``amend`` and ``retrain`` also record theirs in the manifest.
+# these. ``train`` starts ``manifest.json`` in the run directory; ``amend``,
+# ``retrain`` and ``generate`` read it once on entry, refusing a directory
+# without one, and ``amend`` and ``retrain`` record their own files in it.
+
+@contextmanager
+def _naming_midi_logs(source):
+    """Put ``source``, the file being read, in front of each message ``midi`` logs inside."""
+    def prefix(record: logging.LogRecord) -> bool:
+        record.msg, record.args = f"{source}: {record.getMessage()}", ()
+        return True
+
+    midi.log.addFilter(prefix)
+    try:
+        yield
+    finally:
+        midi.log.removeFilter(prefix)
+
 
 def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: bool = False,
            allow_any_meter: bool = False) -> list[Melody]:
     """Build a corpus from the ``.mid``/``.midi`` files of a directory, in name order.
 
-    Each piece keeps its highest sounding line, is transposed to C by ``key``
-    (else its key signature, else an estimate when ``detect_key``), snapped
+    Each piece keeps its highest sounding line, is transposed to C by its key
+    signature (else ``key``, else an estimate when ``detect_key``), snapped
     onto the duration grid and folded into the pitch range by octaves. A file
     that does not parse, is not in 4/4 (unless ``allow_any_meter``), has no
-    notes or has no key is logged by name and skipped.
+    notes or has no key is logged by name and skipped; every warning names its file.
     """
     midi_dir = Path(midi_dir)
     paths = sorted(p for p in midi_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))
@@ -602,33 +616,34 @@ def ingest(midi_dir: Path, cfg: RunConfig, key: Key | None = None, detect_key: b
 
     corpus: list[Melody] = []
     for path in paths:
-        try:
-            parsed = midi.parse_midi(path.read_bytes())
-            melody = midi.extract_melody(parsed.events)
-        except (midi.MidiParseError, midi.EmptyMelodyError) as exc:
-            log.warning("rejected %s: %s", path.name, exc)
-            continue
-        signature = midi.first_time_signature(parsed.events)
-        if signature is not None and signature != (4, 4) and not allow_any_meter:
-            log.warning("rejected %s: time signature %d/%d is not 4/4", path.name, *signature)
-            continue
-        piece_key = key or melody.source_key
-        if piece_key is None and detect_key:
-            piece_key = midi.estimate_key(melody)
-            log.info("%s: estimated key %s", path.name, piece_key.name)
-        if piece_key is None:
-            log.warning("rejected %s: no key signature; pass --key or --detect-key", path.name)
-            continue
-        melody = midi.transpose_to_c(melody, piece_key)
-        melody = midi.quantize_durations(melody, parsed.division, cfg.vocab)
-        lo, hi = cfg.vocab.pitch_lo, cfg.vocab.pitch_hi
-        notes = [NoteEvent(fold_octaves(n.pitch, lo, hi), n.duration) for n in melody.notes]
-        folded = sum(a.pitch != b.pitch for a, b in zip(notes, melody.notes))
-        if folded:
-            log.warning("%s: folded %d notes into the vocabulary range by octaves",
-                        path.name, folded)
-        corpus.append(Melody(notes=notes, source_key=melody.source_key))
-        log.info("accepted %s: %d notes", path.name, len(notes))
+        with _naming_midi_logs(path.name):
+            try:
+                parsed = midi.parse_midi(path.read_bytes())
+                melody = midi.extract_melody(parsed.events)
+            except (midi.MidiParseError, midi.EmptyMelodyError) as exc:
+                log.warning("rejected %s: %s", path.name, exc)
+                continue
+            signature = midi.first_time_signature(parsed.events)
+            if signature is not None and signature != (4, 4) and not allow_any_meter:
+                log.warning("rejected %s: time signature %d/%d is not 4/4", path.name, *signature)
+                continue
+            piece_key = melody.source_key or key
+            if piece_key is None and detect_key:
+                piece_key = midi.estimate_key(melody)
+                log.info("%s: estimated key %s", path.name, piece_key.name)
+            if piece_key is None:
+                log.warning("rejected %s: no key signature; pass --key or --detect-key", path.name)
+                continue
+            melody = midi.transpose_to_c(melody, piece_key)
+            melody = midi.quantize_durations(melody, parsed.division, cfg.vocab)
+            lo, hi = cfg.vocab.pitch_lo, cfg.vocab.pitch_hi
+            notes = [NoteEvent(fold_octaves(n.pitch, lo, hi), n.duration) for n in melody.notes]
+            folded = sum(a.pitch != b.pitch for a, b in zip(notes, melody.notes))
+            if folded:
+                log.warning("%s: folded %d notes into the vocabulary range by octaves",
+                            path.name, folded)
+            corpus.append(Melody(notes=notes, source_key=melody.source_key))
+            log.info("accepted %s: %d notes", path.name, len(notes))
 
     if not corpus:
         raise ValueError(f"no usable pieces in {midi_dir}")
@@ -689,7 +704,7 @@ def amend(seed_phrase: list[NoteEvent], cfg: RunConfig, run_dir: Path,
     # As train drops what came from the old orig, drop each mode retrained on
     # a stream rewritten here; mix pooled the rule streams, one of which any
     # amend rewrites, unless it was trained on its own stream.
-    modes = manifest.get("modes", {})
+    modes = manifest["modes"]  # holds orig, or load_checked_weights refused
     pooled = not _at(modes.get("mix"), "config.generation.mix_conjunction_filter")
     for mode in [*phase1, "mix"] if pooled and phase1 else phase1:
         modes.pop(mode, None)
@@ -708,7 +723,7 @@ def retrain(corpus: list[Melody], cfg: RunConfig, run_dir: Path) -> None:
     manifest = read_manifest(run_dir)
     orig = _check_recorded_config(run_dir, manifest, "orig", cfg, "vocabulary", "model.window")
     orig_windows = corpus_windows(corpus, cfg)
-    if orig.get("dataset_sha256") not in (None, dataset_fingerprint(orig_windows)):
+    if orig.get("dataset_sha256") != dataset_fingerprint(orig_windows):
         raise ValueError(f"{run_dir / MANIFEST} records another modes.orig.dataset_sha256; "
                          f"retrain on the corpus that train read")
     datasets = {}
@@ -831,9 +846,8 @@ def run_experiment(
 # --- run directory ------------------------------------------------------------
 
 def read_manifest(run_dir: Path) -> dict:
-    """The run's manifest, ``{}`` before the first stage writes one."""
-    path = run_dir / MANIFEST
-    return load_json(path, _manifest_from_obj) if path.exists() else {}
+    """The run's manifest, which ``train`` starts; every later stage needs it."""
+    return load_json(run_dir / MANIFEST, _manifest_from_obj)
 
 
 def _manifest_from_obj(payload) -> dict:
@@ -850,16 +864,16 @@ def _manifest_from_obj(payload) -> dict:
 
 
 def _recorded(run_dir: Path, manifest: dict, block: str, key: str) -> dict:
-    """The entry ``manifest`` records at ``block.key``, ``{}`` when there is no manifest.
+    """The entry ``manifest`` records at ``block.key``.
 
     ``train`` restarts the manifest and ``amend`` drops the modes it makes
     stale, so a file the manifest does not record was left by an earlier
     stage, and is refused.
     """
-    if manifest and key not in manifest.get(block, {}):
+    if key not in manifest.get(block, {}):
         raise ValueError(f"{run_dir / MANIFEST} records no {block}.{key}; run the stage "
                          f"that makes it after the last train")
-    return manifest.get(block, {}).get(key, {})
+    return manifest[block][key]
 
 
 def update_manifest(run_dir: Path, manifest: dict, update: dict) -> None:
@@ -902,11 +916,11 @@ def _check_recorded_config(run_dir: Path, manifest: dict, mode: str, cfg: RunCon
     """The ``modes.<mode>`` entry, refused where its config differs from ``cfg`` at ``keys``.
 
     A key is a block (``vocabulary``) or a ``block.key`` (``model.window``); a
-    value the entry does not record is not checked.
+    value the entry does not record differs.
     """
     entry, ours = _recorded(run_dir, manifest, "modes", mode), config_to_dict(cfg)
     for key in keys:
-        if _at(entry, f"config.{key}") not in (None, _at(ours, key)):
+        if _at(entry, f"config.{key}") != _at(ours, key):
             raise ValueError(f"{run_dir / MANIFEST} records another {key}; use the config "
                              f"that train read")
     return entry

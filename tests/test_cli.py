@@ -107,6 +107,20 @@ class TestIngest:
         corpus = pipeline.load_corpus(out)
         assert [n.pitch for n in corpus[0].notes] == [60, 62, 64, 65, 67, 69, 71, 72]
 
+    def test_key_option_serves_only_files_without_a_key_signature(self, tmp_path):
+        midi_dir = tmp_path / "midi"
+        midi_dir.mkdir()
+        # A D major scale signed D major, and an unsigned G major scale.
+        (midi_dir / "signed.mid").write_bytes(
+            smf(melody_track([62, 64, 66, 67, 69, 71, 73, 74], key_sig=(2, 0))))
+        (midi_dir / "unsigned.mid").write_bytes(
+            smf(melody_track([67, 69, 71, 72, 74, 76, 78, 79])))
+        out = tmp_path / "corpus.json"
+        assert cli.main(["ingest", str(midi_dir), "--out", str(out), "--key", "G:major"]) == 0
+        signed, unsigned = pipeline.load_corpus(out)
+        assert [n.pitch for n in signed.notes] == [60, 62, 64, 65, 67, 69, 71, 72]  # down 2
+        assert [n.pitch for n in unsigned.notes] == [72, 74, 76, 77, 79, 81, 83, 84]  # up 5
+
     def test_detect_key_flag(self, tmp_path):
         midi_dir = tmp_path / "midi"
         midi_dir.mkdir()
@@ -180,6 +194,19 @@ class TestIngest:
         assert cli.main(["ingest", str(midi_dir), "--out", str(out)]) == 0
         assert len(pipeline.load_corpus(out)[0].notes) == 8
         assert "rejected" not in caplog.text
+
+    def test_note_on_without_note_off_is_dropped_and_its_file_named(self, tmp_path, caplog):
+        midi_dir = tmp_path / "midi"
+        midi_dir.mkdir()
+        pitches = [60, 62, 64, 65, 67, 69, 71, 72]
+        track = melody_track(pitches, key_sig=(0, 0))
+        track.insert(5, (0, on(76)))  # at the second note's onset, never released
+        (midi_dir / "dangling.mid").write_bytes(smf(track))
+        out = tmp_path / "corpus.json"
+        assert cli.main(["ingest", str(midi_dir), "--out", str(out)]) == 0
+        assert [n.pitch for n in pipeline.load_corpus(out)[0].notes] == pitches
+        assert ("dangling.mid: dropping 1 note-on events without matching note-off"
+                in caplog.text)
 
     def test_piece_of_zero_length_notes_is_skipped_and_named(self, tmp_path, caplog):
         midi_dir = tmp_path / "midi"
@@ -326,7 +353,8 @@ class TestStagedCommands:
         assert cli.main(["train", *common, "--run-dir", str(full)]) == 0
         assert cli.main(["amend", *common, "--run-dir", str(full)]) == 0
         (subset / "weights").mkdir(parents=True)
-        shutil.copy(full / "weights" / "orig.wts", subset / "weights" / "orig.wts")
+        for name in ("weights/orig.wts", "manifest.json"):
+            shutil.copy(full / name, subset / name)
 
         assert cli.main(["amend", *common, "--run-dir", str(subset), "--rules", "tri, dia"]) == 0
         assert sorted(p.name for p in (subset / "amended").iterdir()) == ["dia.json", "tri.json"]
@@ -340,6 +368,45 @@ class TestStagedCommands:
         code = cli.main(["amend", *common, "--run-dir", str(subset), "--rules", ""])
         assert code == cli.EXIT_VALIDATION
         assert caplog.records[-1].getMessage() == "rule set must not be empty"
+
+    @pytest.mark.parametrize("command", ["amend", "retrain", "generate"])
+    def test_a_run_directory_without_a_manifest_is_refused(self, tmp_path, caplog, command):
+        run_dir = tmp_path / "run"
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
+        for stage in ("train",) if command == "amend" else ("train", "amend"):
+            assert cli.main([stage, *common]) == 0
+        path = run_dir / "manifest.json"
+        path.unlink()
+
+        def listing() -> dict[Path, bytes | None]:  # every directory and file, with its bytes
+            return {p: p.read_bytes() if p.is_file() else None for p in run_dir.rglob("*")}
+
+        before = listing()
+        extra = ["--mode", "orig", "-n", "5"] if command == "generate" else []
+        assert cli.main([command, *common, *extra]) == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == (
+            f"[Errno 2] No such file or directory: '{path}'")
+        assert listing() == before
+
+    @pytest.mark.parametrize("key, message", [
+        ("dataset_sha256", "modes.orig.dataset_sha256; retrain on the corpus that train read"),
+        ("config", "vocabulary; use the config that train read"),
+    ], ids=["dataset_sha256", "config"])
+    def test_retrain_refuses_an_orig_entry_that_lacks_a_record(self, tmp_path, caplog, key,
+                                                                message):
+        run_dir = tmp_path / "run"
+        common = ["--corpus", str(write_corpus(tmp_path)),
+                  "--config", str(tiny_config_file(tmp_path)), "--run-dir", str(run_dir)]
+        for stage in ("train", "amend"):
+            assert cli.main([stage, *common]) == 0
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["modes"]["orig"][key]
+        pipeline.save_json(path, manifest)
+        assert cli.main(["retrain", *common]) == cli.EXIT_VALIDATION
+        assert caplog.records[-1].getMessage() == f"{path} records another {message}"
+        assert sorted(p.name for p in (run_dir / "weights").iterdir()) == ["orig.wts"]
 
     def test_second_train_starts_a_fresh_manifest(self, tmp_path):
         common = ["--corpus", str(write_corpus(tmp_path)),
@@ -971,6 +1038,11 @@ class TestConfigHandling:
             payload["pieces"][1]["notes"][10] = [100, 2]
             where = "pieces[1].notes[10]"
         corpus.write_text(json.dumps(payload))
+        if command == "retrain":  # the orig entry that a train on the good corpus records
+            (tmp_path / "run").mkdir()
+            recorded = pipeline.config_to_dict(cli.load_config(str(tiny_config_file(tmp_path))))
+            pipeline.save_json(tmp_path / "run" / "manifest.json",
+                               {"modes": {"orig": {"config": recorded}}})
         code = cli.main([command, "--corpus", str(corpus),
                          "--config", str(tiny_config_file(tmp_path)),
                          "--run-dir", str(tmp_path / "run")])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import melogram
-from melogram import cli
+from melogram import cli, pipeline
 from melogram import network as nw
 from melogram.network import (
     LstmParams,
@@ -861,6 +861,8 @@ class TestWeightsFile:
         (run_dir / "weights").mkdir(parents=True)
         path = run_dir / "weights" / "orig.wts"
         path.write_bytes(nw.WEIGHTS_MAGIC + struct.pack("<6I", 1, 59, 30, 128, 7, 14))
+        pipeline.save_json(run_dir / "manifest.json", {"modes": {"orig": {
+            "config": pipeline.config_to_dict(pipeline.RunConfig())}}})
         with pytest.raises(WeightsFormatError, match="version 1 .*retrain"):
             load_weights(path)
         code = cli.main(["generate", "--run-dir", str(run_dir), "--mode", "orig", "-n", "5",

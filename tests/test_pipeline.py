@@ -150,6 +150,12 @@ class TestTrainModes:
         return {mode: windows[: 0 if mode in empty else len(windows) - 9 * k]
                 for k, mode in enumerate(self.MODES)}
 
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity_are_the_cpu_count(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert pipeline._usable_cpus() == cpus
+
     def test_pool_changes_no_byte(self, monkeypatch):
         # At these sizes OpenBLAS runs every product on one thread, so the
         # serial oracle does not depend on the suite's thread count.
